@@ -99,7 +99,7 @@ def measure_compiles() -> Dict[str, float]:
 
 
 def _start_server() -> CompileServer:
-    options = CompilerOptions(server_workers=4, request_timeout=60.0)
+    options = CompilerOptions(request_timeout=60.0)
     server = CompileServer(service=CompileService(options))
     server.port = server.start()
     return server

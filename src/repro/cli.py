@@ -371,7 +371,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         options.server_port = args.port
     if getattr(args, "shards", None) is not None:
         options.server_shards = max(0, args.shards)
-    server = CompileServer(options=options)
+    server = CompileServer(options=options, stats_json=args.stats_json)
 
     def on_sigterm(_signum, _frame):
         # Graceful drain: stop accepting, let in-flight requests
@@ -395,18 +395,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 return 1
             backend = (f"shards={options.server_shards}"
-                       if options.server_shards > 0
-                       else f"workers={options.server_workers}")
+                       if options.server_shards > 0 else "in-process")
             print(f"repro serve: listening on {server.host}:{port} "
                   f"(cache={options.cache_size}, {backend})",
                   file=sys.stderr)
             server.wait()
     except KeyboardInterrupt:
         server.stop()
-    if args.stats_json and server.service is not None:
-        server.service.metrics.dump_json(
-            args.stats_json,
-            extra={"cache": server.service.cache.snapshot()})
     return 0
 
 
@@ -585,7 +580,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "CompilerOptions.server_shards; 0 = "
                               "in-process threads)")
     p_serve.add_argument("--stats-json", metavar="FILE",
-                         help="write request metrics to FILE on shutdown")
+                         help="write the merged fleet metrics to FILE on "
+                              "shutdown")
     add_common(p_serve)
     p_serve.set_defaults(fn=cmd_serve)
 

@@ -43,13 +43,10 @@ SERVICE_OPTION_FIELDS = (
     "cache_disk_budget",
     "server_host",
     "server_port",
-    "server_workers",
     "server_shards",
     "server_queue_depth",
     "server_rate_limit",
-    "server_rate_burst",
     "server_expr_cache",
-    "server_fastpath_ms",
     "server_drain_grace",
     "request_timeout",
     "request_timeout_ceiling",
@@ -132,7 +129,6 @@ class CompilerOptions:
     build_jobs: int = 4           # thread-pool width for `repro build`
     server_host: str = "127.0.0.1"
     server_port: int = 0          # 0 = pick an ephemeral port
-    server_workers: int = 4       # thread-pool width for request handling
     #: worker *processes* behind the async front; 0 = in-process
     #: threads (no sharding), N > 0 = N processes, each with its own
     #: prelude snapshot + compile cache, sharded by content hash
@@ -141,16 +137,11 @@ class CompilerOptions:
     #: shed with a ``service.overloaded`` error (admission control)
     server_queue_depth: int = 64
     #: per-connection token-bucket rate limit, requests/second
-    #: (0 = unlimited); excess requests fail ``service.rate-limited``
+    #: (0 = unlimited; burst twice the rate); excess requests fail
+    #: ``service.rate-limited``
     server_rate_limit: float = 0.0
-    #: token-bucket burst size; 0 = twice the rate
-    server_rate_burst: float = 0.0
     #: compiled-expression memo entries per service (0 disables)
     server_expr_cache: int = 512
-    #: eval requests whose cached expression historically completes
-    #: under this many milliseconds run directly on the event loop
-    #: (no executor hop); 0 disables the fast path
-    server_fastpath_ms: float = 2.0
     #: graceful-drain deadline on SIGTERM/drain(), seconds
     server_drain_grace: float = 5.0
     request_timeout: float = 10.0  # per-request budget, seconds (0 = none)

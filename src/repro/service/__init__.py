@@ -7,12 +7,13 @@ compiler into a system that can serve sustained traffic.
 * :mod:`repro.service.cache` — a content-addressed compile cache keyed
   by ``(source, options, prelude)`` digests, with LRU eviction and an
   optional on-disk tier shared across processes;
-* :mod:`repro.service.server` — the asyncio front door: rate limits,
-  limit ceilings, an event-loop fast path and admission control ahead
-  of an inline thread-pool backend or a sharded process fleet;
-* :mod:`repro.service.worker` — the worker-process pool behind the
-  sharded backend and distributed module builds: content-hash
-  routing, crash detection, respawn and resubmission;
+* :mod:`repro.service.server` — the asyncio front door: one request
+  pipeline for TCP and stdio (management ops, rate limit, budget
+  ceilings, memo stage, admission, execute) over either backend;
+* :mod:`repro.service.worker` — the two backends behind one
+  interface: the in-process :class:`LocalPool` and the worker-process
+  :class:`WorkerPool` (also behind distributed module builds) with
+  content-hash routing, crash detection, respawn and resubmission;
 * :mod:`repro.service.metrics` — counters, gauges and latency
   histograms, with count-weighted cross-process merging behind the
   server's ``stats`` request.
@@ -41,7 +42,7 @@ from repro.service.snapshot import (
     get_default_snapshot,
     prelude_fingerprint,
 )
-from repro.service.worker import WorkerPool
+from repro.service.worker import LocalPool, WorkerPool
 
 __all__ = [
     "CacheStats",
@@ -63,5 +64,6 @@ __all__ = [
     "compile_with_snapshot",
     "get_default_snapshot",
     "prelude_fingerprint",
+    "LocalPool",
     "WorkerPool",
 ]

@@ -1,4 +1,5 @@
-"""A long-lived compile/eval server: async front door, sharded workers.
+"""A long-lived compile/eval server: one async request pipeline over
+one of two backends.
 
 The server answers requests over a line-delimited JSON protocol, either
 on a TCP socket or on stdio::
@@ -6,38 +7,19 @@ on a TCP socket or on stdio::
     -> {"id": 1, "op": "compile", "source": "main = 1 + 2"}
     <- {"id": 1, "ok": true, "result": {"program": "ab12...", ...}}
 
-Operations: ``compile``, ``build``, ``eval``, ``typeof``, ``info``,
-``stats``, ``ping``, ``shutdown`` (see docs/SERVICE.md for the full
-schema).
+Operations: ``compile``, ``build``, ``check``, ``eval``, ``typeof``,
+``info``, ``stats``, ``ping``, ``shutdown``.  An asyncio front door
+runs every line, from either transport, through one pipeline::
 
-Architecture — an **asyncio front door** plus one of two backends:
+    decode -> management ops -> rate limit -> budget ceilings
+           -> memo stage -> admission -> execute -> encode
 
-* *inline* (``server_shards = 0``, the default): one in-process
-  :class:`CompileService` — prelude snapshot, compile cache, metrics —
-  with requests handled on a pool of big-stack threads;
-* *sharded* (``server_shards = N``): N worker *processes*
-  (:mod:`repro.service.worker`), each a full ``CompileService``,
-  routed by **content hash** — the same source or program handle always
-  lands on the same worker, whose in-memory caches stay hot, while the
-  shared on-disk cache tier makes any worker's compile a disk hit for
-  all the others.
-
-The front door applies, in order, per request: per-connection
-token-bucket **rate limiting** (``server_rate_limit``), the
-client-supplied limit **ceilings** (``request_timeout_ceiling`` etc. —
-out-of-range values are rejected with ``service.limit-exceeded``), an
-event-loop **fast path** for cached sub-millisecond evals
-(``server_fastpath_ms``), and per-shard **admission control**
-(``server_queue_depth`` outstanding requests per shard; excess is shed
-with ``service.overloaded``).  A per-request timeout produces a
-structured ``timeout`` error while the server keeps running — in
-sharded mode the stuck worker is killed and respawned, and the
-requests queued behind it are resubmitted.  ``drain()`` (and SIGTERM
-under ``repro serve``) stops accepting, lets in-flight work finish
-within ``server_drain_grace`` seconds, then stops.
-
-Errors never kill the process: compiler errors, malformed JSON and
-unknown operations all come back as ``{"ok": false, "error": ...}``.
+onto the in-process :class:`LocalPool` (``server_shards = 0``) or a
+:class:`WorkerPool` of N processes routed by content hash
+(:mod:`repro.service.worker`).  Errors never kill the process: every
+failure comes back as ``{"ok": false, "error": ...}`` with a stable
+``code``.  docs/SERVICE.md describes each stage, the schema and the
+error codes.
 """
 
 from __future__ import annotations
@@ -50,7 +32,6 @@ import sys
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor, TimeoutError as FutureTimeout
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ReproError, ServiceLimitError
@@ -62,11 +43,23 @@ from repro.service.metrics import (
     merge_metric_snapshots,
 )
 from repro.service.snapshot import get_default_snapshot
+from repro.service.worker import STACK_MB, LocalPool, WorkerPool
 
 PROTOCOL_VERSION = 1
 #: serving-stack version, reported by ``ping`` (bumped with the
 #: sharded front door; the *protocol* is unchanged)
 SERVER_VERSION = "2.0"
+
+#: the memo stage answers an ``eval`` on the event loop when its
+#: memoized expression's moving-average latency is at most this
+MEMO_STAGE_SECONDS = 0.002
+
+#: budget for gathering every shard's ``stats``
+STATS_TIMEOUT = 30.0
+
+#: deepest nesting of lists and objects a request may carry: deeper
+#: ones cannot be pickled to a worker or have their ``id`` echoed
+MAX_NESTING = 100
 
 
 def _error(kind: str, message: str, code: Optional[str] = None,
@@ -94,12 +87,27 @@ class ProtocolError(Exception):
     """A malformed request (bad JSON, missing field, unknown op)."""
 
 
+def _depth(value: Any) -> int:
+    """How deeply *value*'s lists and objects nest — found without
+    recursion, since the point is to refuse what recursion cannot
+    handle."""
+    deepest, stack = 0, [(value, 1)]
+    while stack:
+        item, level = stack.pop()
+        if isinstance(item, dict):
+            item = list(item.values())
+        if isinstance(item, list):
+            deepest = max(deepest, level)
+            stack.extend((child, level + 1) for child in item)
+    return deepest
+
+
 class CompileService:
     """Transport-independent request handling: snapshot + cache + ops.
 
-    Shared by the TCP/stdio front doors, the sharded worker processes
-    and direct in-process use (``repro batch`` drives it without any
-    socket)."""
+    The one shard of the in-process backend, the service inside every
+    worker process, and direct in-process use (``repro batch`` drives
+    it without any socket)."""
 
     def __init__(self, options: Optional[CompilerOptions] = None) -> None:
         self.options = options if options is not None else CompilerOptions()
@@ -109,8 +117,6 @@ class CompileService:
             disk_dir=resolve_cache_dir(self.options),
             disk_budget=self.options.cache_disk_budget)
         self.metrics = Metrics()
-        #: which shard this service is, inside a worker process
-        self.shard_index: Optional[int] = None
         #: ``(program key, expr) -> [CompiledExpr, ema_seconds]`` —
         #: repeated evals of one expression skip the ~0.3ms
         #: parse/infer/translate entirely and reuse a warm evaluator
@@ -121,9 +127,6 @@ class CompileService:
         self._typeof_cache: "OrderedDict[Tuple[str, str], str]" = \
             OrderedDict()
         self._expr_lock = threading.Lock()
-        #: the fingerprints are pure functions of the options/prelude;
-        #: computing them per ping would put a sha256 on the hot path
-        self._options_fp = options_fingerprint(self.options)
 
     # ------------------------------------------------------------- programs
 
@@ -150,47 +153,45 @@ class CompileService:
             self.metrics.record_phases(trace)
         return key, program, False
 
-    def _resolve_program(self, request: Dict[str, Any]) -> Tuple[str, Any]:
-        """The program a request targets: by ``program`` handle (cache
-        key) or by ``source`` (compiled on demand)."""
+    def _resolve(self, request: Dict[str, Any],
+                 probe: bool = False) -> Tuple[Optional[str], Any]:
+        """The program a request targets, as ``(key, program)``: by
+        ``program`` handle while that handle is cached, else by the
+        content address of ``source``, compiled on demand.
+
+        With *probe* (the memo stage) nothing is compiled, loaded or
+        counted: the program comes back None, and so does the key
+        whenever the op would fail or have to compile.  One resolver
+        for both keeps the memo stage's key the one the op will use: a
+        stale handle sent with its source resolves to the source's
+        key in both."""
         handle = request.get("program")
         if handle is not None:
-            program = self.cache.get(handle)
-            if program is not None:
-                return handle, program
+            if isinstance(handle, str):
+                if probe:
+                    if self.cache.contains(handle):
+                        return handle, None
+                else:
+                    program = self.cache.get(handle)
+                    if program is not None:
+                        return handle, program
             if "source" not in request:
+                if probe:
+                    return None, None
                 raise ProtocolError(
                     f"unknown program {handle!r} (evicted or never "
                     f"compiled); re-send with its source")
         source = request.get("source")
-        if source is None:
+        if not isinstance(source, str):
+            if probe:
+                return None, None
             raise ProtocolError(
                 "request needs a 'program' handle or a 'source' string")
+        if probe:
+            key = cache_key(source, self.options, self.snapshot.fingerprint)
+            return (key if self.cache.contains(key) else None), None
         key, program, _ = self.compile(source)
         return key, program
-
-    def _resolve_key(self, request: Any) -> Optional[str]:
-        """The cache key :meth:`_resolve_program` would resolve the
-        request to, computed *without* compiling anything.
-
-        Mirrors ``_resolve_program``'s precedence: a ``program`` handle
-        wins only while it is still cached — an evicted handle falls
-        back to the ``source`` content address (the key a recompile
-        would produce).  The fast path keys its memo probes off this,
-        so its decision always matches the key the slow-path op will
-        use; probing with the raw request handle used to count a
-        ``fastpath_hits`` and then miss the memo whenever the handle
-        had been evicted but the request carried a source.  Returns
-        None when the key cannot be known without compiling."""
-        handle = request.get("program")
-        if isinstance(handle, str) and self.cache.contains(handle):
-            return handle
-        source = request.get("source")
-        if isinstance(source, str):
-            return cache_key(source, self.options, self.snapshot.fingerprint)
-        # Evicted handle, no source: the slow path will reject this
-        # request with the canonical "unknown program" error.
-        return None
 
     # ------------------------------------------- expression compilation memo
 
@@ -199,7 +200,7 @@ class CompileService:
         """The memoised ``[CompiledExpr, ema_seconds]`` entry for
         ``(key, expr)``, compiling on a miss; None when the memo is
         disabled.  ``ema_seconds`` (None until the first run) feeds the
-        fast-path decision in :meth:`try_handle_fast`."""
+        decision in :meth:`memo_stage`."""
         capacity = self.options.server_expr_cache
         if capacity <= 0:
             return None
@@ -243,58 +244,36 @@ class CompileService:
         self.metrics.incr("expr_cache_misses")
         return printed
 
-    def try_handle_fast(self, request: Any) -> Optional[Dict[str, Any]]:
-        """Handle *request* synchronously if it is provably cheap: a
-        ``ping``, a memoized ``typeof``, or an ``eval`` by program
-        handle whose expression is already in the memo and whose
-        running average completed under ``server_fastpath_ms``.  The
-        front door calls this on the event loop itself, skipping the
-        executor hop for the hot path.  Returns None when the request
-        must take the slow path."""
-        if not isinstance(request, dict):
+    def memo_stage(self, request: Any) -> Optional[Dict[str, Any]]:
+        """Answer *request* here and now when the memo proves it cheap:
+        a ``typeof`` already in the typeof memo, or an ``eval`` without
+        budget overrides whose memoized expression averages at most
+        :data:`MEMO_STAGE_SECONDS` — in both cases against a program
+        still cached, so nothing compiles.  The front door calls this
+        on its event loop, skipping the thread hop for the hot path.
+        Returns None when the request must go on to admission."""
+        if not isinstance(request, dict) \
+                or self.options.server_expr_cache <= 0:
             return None
         op = request.get("op")
-        if op == "ping":
-            self.metrics.incr("fastpath_hits")
-            return self.handle(request)
-        if op not in ("eval", "typeof", "type_of"):
-            return None
-        threshold = self.options.server_fastpath_ms / 1e3
-        if threshold <= 0 or self.options.server_expr_cache <= 0:
-            return None
-        handle = request.get("program")
         expr = request.get("expr")
-        if not isinstance(expr, str):
+        if op not in ("eval", "typeof", "type_of") \
+                or not isinstance(expr, str):
             return None
-        if handle is not None and not isinstance(handle, str):
+        is_eval = op == "eval"
+        if is_eval and ("step_limit" in request or "max_depth" in request):
             return None
-        # Probe the memos with the key the slow-path op will actually
-        # use (_resolve_program's precedence), not the raw request
-        # handle — a stale handle plus a source resolves to the source's
-        # content address, and probing with the handle would claim a
-        # fast-path hit only to miss the memo (and run inference or
-        # compilation on the event loop).  Computing it is a hash at
-        # worst, and a cache membership stat when a handle is given.
-        key = self._resolve_key(request)
+        key, _ = self._resolve(request, probe=True)
         if key is None:
             return None
-        if op in ("typeof", "type_of"):
-            with self._expr_lock:
-                memoized = (key, expr) in self._typeof_cache
-            # The memo can outlive the program itself (separate LRUs):
-            # with the program gone the slow-path op would recompile,
-            # which must not happen on the event loop.
-            if not memoized or not self.cache.contains(key):
-                return None
-            self.metrics.incr("fastpath_hits")
-            return self.handle(request)
-        if "step_limit" in request or "max_depth" in request:
-            return None
         with self._expr_lock:
-            entry = self._expr_cache.get((key, expr))
-        if entry is None or entry[1] is None or entry[1] > threshold:
-            return None
-        if not self.cache.contains(key):
+            if is_eval:
+                entry = self._expr_cache.get((key, expr))
+                ready = entry is not None and entry[1] is not None \
+                    and entry[1] <= MEMO_STAGE_SECONDS
+            else:
+                ready = (key, expr) in self._typeof_cache
+        if not ready:
             return None
         self.metrics.incr("fastpath_hits")
         return self.handle(request)
@@ -304,6 +283,11 @@ class CompileService:
     def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """Dispatch one request dict to a response dict (never raises)."""
         request_id = request.get("id") if isinstance(request, dict) else None
+        if isinstance(request, dict) and request.get("op") == "stats":
+            # A read of the metrics is not metered itself: the front
+            # door counts the client's request once, however many
+            # shards it asks.
+            return {"id": request_id, "ok": True, "result": self.stats()}
         self.metrics.incr("requests_total")
         try:
             if not isinstance(request, dict):
@@ -337,19 +321,6 @@ class CompileService:
         return {"id": request_id, "ok": False, "error": error}
 
     # ------------------------------------------------------------------ ops
-
-    def _op_ping(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Health check: cheap enough for load balancers and the
-        distributed build scheduler to probe; the fingerprints let a
-        router confirm two servers are interchangeable."""
-        return {
-            "pong": True,
-            "protocol": PROTOCOL_VERSION,
-            "version": SERVER_VERSION,
-            "shards": self.options.server_shards,
-            "options_fingerprint": self._options_fp,
-            "prelude_fingerprint": self.snapshot.fingerprint,
-        }
 
     def _op_compile(self, request: Dict[str, Any]) -> Dict[str, Any]:
         source = request.get("source")
@@ -397,7 +368,7 @@ class CompileService:
         if not isinstance(expr, str):
             raise ProtocolError("'eval' needs an 'expr' string")
         overrides = self._eval_overrides(request)
-        key, program = self._resolve_program(request)
+        key, program = self._resolve(request)
         from repro.cli import render
         entry = self._compiled_entry(key, program, expr)
         t0 = time.perf_counter()
@@ -409,7 +380,7 @@ class CompileService:
         elapsed = time.perf_counter() - t0
         if entry is not None:
             # Exponential moving average of this expression's latency;
-            # the fast path trusts it to run cheap requests inline.
+            # the memo stage trusts it to run cheap requests inline.
             # Timed across *either* branch: when eval falls back to
             # ``program.eval`` the estimate must still age, or one slow
             # fallback-path expression could keep a stale "fast"
@@ -426,7 +397,7 @@ class CompileService:
         expr = request.get("expr")
         if not isinstance(expr, str):
             raise ProtocolError("'typeof' needs an 'expr' string")
-        key, program = self._resolve_program(request)
+        key, program = self._resolve(request)
         return {"program": key,
                 "type": self._memoized_type(key, program, expr)}
 
@@ -436,7 +407,7 @@ class CompileService:
         if not isinstance(name, str) and not kinds:
             raise ProtocolError("'info' needs a 'name' string and/or "
                                 "'kinds': true")
-        key, program = self._resolve_program(request)
+        key, program = self._resolve(request)
         result: Dict[str, Any] = {"program": key}
         if isinstance(name, str):
             result["info"] = program.info(name)
@@ -564,14 +535,8 @@ class CompileService:
         artifact = compile_one(msrc, interfaces, self.options, self.snapshot)
         return {"module": msrc.name, "artifact": artifact}
 
-    def _op_stats(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return self.stats()
-
-    def _op_shutdown(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        return {"shutting_down": True}
-
     def stats(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
+        return {
             "protocol": PROTOCOL_VERSION,
             "version": SERVER_VERSION,
             "server": self.metrics.snapshot(),
@@ -581,9 +546,6 @@ class CompileService:
                 "prelude_bindings": self.snapshot.n_bindings,
             },
         }
-        if self.shard_index is not None:
-            out["shard"] = self.shard_index
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +554,12 @@ class CompileService:
 
 
 class _TokenBucket:
-    """Per-connection request rate limiter (classic token bucket)."""
+    """Per-stream request rate limiter (classic token bucket, burst
+    twice the rate)."""
 
-    def __init__(self, rate: float, burst: float) -> None:
+    def __init__(self, rate: float) -> None:
         self.rate = rate
-        self.capacity = burst if burst > 0 else max(1.0, 2.0 * rate)
+        self.capacity = max(1.0, 2.0 * rate)
         self.tokens = self.capacity
         self._t = time.monotonic()
 
@@ -611,99 +574,83 @@ class _TokenBucket:
         return False
 
 
+class _Stream:
+    """One client stream — a TCP connection or stdio: how its replies
+    are written, its token bucket and its requests in flight."""
+
+    def __init__(self, send, rate: float) -> None:
+        self.send = send  # async (response dict) -> None: the encode stage
+        self.bucket = _TokenBucket(rate) if rate > 0 else None
+        self.tasks: set = set()
+
+    def spawn(self, coro) -> None:
+        task = asyncio.ensure_future(coro)
+        self.tasks.add(task)
+        task.add_done_callback(self.tasks.discard)
+
+    async def settle(self) -> None:
+        """Wait until every reply in flight has been written."""
+        if self.tasks:
+            await asyncio.gather(*self.tasks, return_exceptions=True)
+
+
 class CompileServer:
-    """Line-delimited JSON over TCP (or stdio via :meth:`serve_stdio`).
+    """Line-delimited JSON over TCP (:meth:`start`) or stdio
+    (:meth:`serve_stdio`), both feeding one request pipeline on an
+    asyncio event loop running on a dedicated background thread.
+    Requests on one stream pipeline freely (responses match by ``id``).
 
-    The TCP transport is an asyncio event loop on a dedicated
-    background thread: connections are cheap coroutines, requests on
-    one connection pipeline freely (responses match by ``id``), and
-    the loop applies rate limiting, the limit ceilings, the fast path
-    and admission control before any thread or process is involved.
-
-    ``server_shards = 0`` (default) handles requests on an in-process
-    big-stack thread pool; ``server_shards = N`` routes them by content
-    hash to N worker processes (see module docstring).  Passing an
-    explicit *service* always selects the inline backend.
+    ``server_shards = 0`` (default) executes requests on the in-process
+    :class:`LocalPool`; ``server_shards = N`` on a :class:`WorkerPool`
+    of N processes (see module docstring).  Passing an explicit
+    *service* always selects the in-process backend.  With
+    *stats_json*, the final fleet-wide metrics are written to that file
+    as the server stops.
     """
 
     def __init__(self, options: Optional[CompilerOptions] = None,
                  service: Optional[CompileService] = None,
                  host: Optional[str] = None,
-                 port: Optional[int] = None) -> None:
+                 port: Optional[int] = None,
+                 stats_json: Optional[str] = None) -> None:
         if service is not None:
             self.options = service.options
         else:
             self.options = options if options is not None else \
                 CompilerOptions()
-        self.sharded = service is None and self.options.server_shards > 0
-        self.pool = None
-        self._executor: Optional[ThreadPoolExecutor] = None
-        if self.sharded:
-            from repro.service.worker import WorkerPool
-            self.pool = WorkerPool(self.options)
-            self.service: Optional[CompileService] = None
-            self.snapshot_fp = self.pool.snapshot.fingerprint
-            self.prelude_bindings = self.pool.snapshot.n_bindings
-            self.metrics = Metrics()
+        #: the in-process service whose memo the memo stage reads; None
+        #: when requests execute in worker processes
+        self.service: Optional[CompileService] = None
+        if service is None and self.options.server_shards > 0:
+            self.pool: Any = WorkerPool(self.options)
         else:
             self.service = service if service is not None \
                 else CompileService(self.options)
-            self.snapshot_fp = self.service.snapshot.fingerprint
-            self.prelude_bindings = self.service.snapshot.n_bindings
-            self.metrics = self.service.metrics
-            self._executor = self._make_pool(
-                max(1, self.options.server_workers))
+            self.pool = LocalPool(self.service)
+        #: the front door's own metrics, merged with every shard's into
+        #: the ``stats`` reply
+        self.metrics = Metrics()
+        self.snapshot_fp = self.pool.snapshot.fingerprint
         self._options_fp = options_fingerprint(self.options)
         self.host = host if host is not None else self.options.server_host
         self.port = port if port is not None else self.options.server_port
+        self.stats_json = stats_json
         self._shutdown = threading.Event()
         self._stopping = threading.Lock()
         self._stopped = False
         self._draining = False
-        self._outstanding = 0  # inline admission counter (loop thread only)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._loop_thread: Optional[threading.Thread] = None
         self._aserver: Optional[asyncio.AbstractServer] = None
 
-    @staticmethod
-    def _make_pool(workers: int, stack_mb: int = 512) -> ThreadPoolExecutor:
-        """A thread pool whose workers all have big stacks.
-
-        Interpreted evaluation nests deeply (see
-        :func:`repro.coreir.eval.with_big_stack`); a default-sized
-        thread stack overflows — fatally, below Python — on programs the
-        compiler handles fine.  Stack size is fixed at thread creation,
-        and the executor spawns threads lazily, so every worker is
-        forced into existence here, inside the enlarged-stack window.
-        The memory is virtual: untouched pages cost nothing.
-        """
-        if sys.getrecursionlimit() < 1_000_000:
-            sys.setrecursionlimit(1_000_000)
-        old = threading.stack_size(stack_mb * 1024 * 1024)
-        try:
-            pool = ThreadPoolExecutor(max_workers=workers,
-                                      thread_name_prefix="repro-worker")
-            ready = threading.Barrier(workers + 1)
-            futures = [pool.submit(ready.wait) for _ in range(workers)]
-            ready.wait()
-            for future in futures:
-                future.result()
-        finally:
-            threading.stack_size(old)
-        return pool
-
     # --------------------------------------------------------------- life
 
-    def start(self) -> int:
-        """Bind and start accepting on a background event loop; returns
-        the bound port (useful with ``server_port = 0``)."""
-        listener = socket.create_server((self.host, self.port))
-        self.port = listener.getsockname()[1]
+    def _start_loop(self) -> asyncio.AbstractEventLoop:
         loop = asyncio.new_event_loop()
         self._loop = loop
-        # The loop thread gets a big stack too: fast-path evals run
-        # directly on it.
-        old = threading.stack_size(512 * 1024 * 1024)
+        # The loop thread gets a big stack too: the memo stage runs
+        # evals directly on it.
+        old = threading.stack_size(STACK_MB * 1024 * 1024)
         try:
             thread = threading.Thread(target=self._loop_main,
                                       name="repro-front", daemon=True)
@@ -711,8 +658,22 @@ class CompileServer:
         finally:
             threading.stack_size(old)
         self._loop_thread = thread
+        return loop
+
+    def _loop_main(self) -> None:
+        if sys.getrecursionlimit() < 1_000_000:
+            sys.setrecursionlimit(1_000_000)
+        asyncio.set_event_loop(self._loop)
+        self._loop.run_forever()
+
+    def start(self) -> int:
+        """Bind and start accepting TCP connections on a background
+        event loop; returns the bound port (useful with
+        ``server_port = 0``)."""
+        listener = socket.create_server((self.host, self.port))
+        self.port = listener.getsockname()[1]
         ready = asyncio.run_coroutine_threadsafe(
-            self._start_async(listener), loop)
+            self._start_async(listener), self._start_loop())
         try:
             ready.result(timeout=30)
         except BaseException:
@@ -720,12 +681,6 @@ class CompileServer:
             self.stop()
             raise
         return self.port
-
-    def _loop_main(self) -> None:
-        if sys.getrecursionlimit() < 1_000_000:
-            sys.setrecursionlimit(1_000_000)
-        asyncio.set_event_loop(self._loop)
-        self._loop.run_forever()
 
     #: per-line read limit — request lines carry whole module sources
     _READ_LIMIT = 32 * 1024 * 1024
@@ -735,54 +690,77 @@ class CompileServer:
                                                    sock=listener,
                                                    limit=self._READ_LIMIT)
 
+    def serve_stdio(self, stdin=None, stdout=None) -> None:
+        """Serve line-delimited JSON on stdio until EOF or shutdown.
+
+        A reader thread pushes stdin's lines into the event loop —
+        plain file objects (tests drive this with in-memory streams)
+        cannot be polled portably — where they take the same pipeline
+        as a TCP connection's."""
+        stdin = stdin if stdin is not None else sys.stdin.buffer
+        stdout = stdout if stdout is not None else sys.stdout
+        served = asyncio.run_coroutine_threadsafe(
+            self._serve_stdio(stdin, stdout), self._start_loop())
+        served.add_done_callback(lambda _done: self.stop())
+        self._shutdown.wait()
+
     def stop(self) -> None:
         with self._stopping:
             if self._stopped:
                 return
             self._stopped = True
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            if threading.current_thread() is self._loop_thread:
-                # Called from a request handler (shutdown op): finish
-                # teardown on a plain thread so the loop can unwind.
-                threading.Thread(target=self._teardown, name="repro-stop",
-                                 daemon=True).start()
-                return
-            self._teardown()
+        if threading.current_thread() is self._loop_thread:
+            # Called from the event loop (the shutdown op): finish
+            # teardown on a plain thread so the loop can unwind.
+            threading.Thread(target=self._teardown, name="repro-stop",
+                             daemon=True).start()
             return
-        self._finalize()
+        self._teardown()
 
     def _teardown(self) -> None:
         loop = self._loop
         if loop is not None and loop.is_running():
-            closed = asyncio.run_coroutine_threadsafe(
-                self._close_listener(), loop)
-            try:
-                closed.result(timeout=5)
-            except BaseException:
-                pass
+            self._close(streams=True)
             loop.call_soon_threadsafe(loop.stop)
             thread = self._loop_thread
             if thread is not None and \
                     thread is not threading.current_thread():
                 thread.join(timeout=5)
-        self._finalize()
-
-    def _finalize(self) -> None:
-        self._shutdown.set()
-        if self.pool is not None:
+                if not thread.is_alive():
+                    loop.close()
+        try:
+            if self.stats_json:
+                stats = self.stats(timeout=5.0)
+                payload = dict(stats["server"], cache=stats["cache"],
+                               shards=stats["shards"])
+                with open(self.stats_json, "w", encoding="utf-8") as handle:
+                    json.dump(payload, handle, indent=2, sort_keys=True)
+                    handle.write("\n")
+        finally:
             self.pool.stop()
-        if self._executor is not None:
-            self._executor.shutdown(wait=False, cancel_futures=True)
+            self._shutdown.set()
 
-    async def _close_listener(self) -> None:
-        server, self._aserver = self._aserver, None
-        if server is not None:
-            server.close()
-            try:
+    def _close(self, streams: bool) -> None:
+        """Stop accepting connections; with *streams*, also end every
+        stream and request in flight — cancelling their tasks closes
+        each connection, so its client sees EOF."""
+        async def close() -> None:
+            server, self._aserver = self._aserver, None
+            if server is not None:
+                server.close()
+            if streams:
+                tasks = asyncio.all_tasks() - {asyncio.current_task()}
+                for task in tasks:
+                    task.cancel()
+                await asyncio.gather(*tasks, return_exceptions=True)
+            if server is not None:
                 await asyncio.wait_for(server.wait_closed(), timeout=2.0)
-            except (asyncio.TimeoutError, Exception):
-                pass
+
+        try:
+            asyncio.run_coroutine_threadsafe(close(), self._loop) \
+                .result(timeout=5)
+        except Exception:  # a listener that will not close is still
+            pass           # abandoned: teardown goes on
 
     def drain(self, grace: Optional[float] = None) -> None:
         """Graceful shutdown: stop accepting connections, give
@@ -794,18 +772,11 @@ class CompileServer:
         self._draining = True
         loop = self._loop
         if loop is not None and loop.is_running():
-            closed = asyncio.run_coroutine_threadsafe(
-                self._close_listener(), loop)
-            try:
-                closed.result(timeout=5)
-            except BaseException:
-                pass
+            self._close(streams=False)
             deadline = time.monotonic() + max(0.0, grace)
-            while time.monotonic() < deadline:
-                busy = self.pool.total_outstanding() if self.sharded \
-                    else self._outstanding
-                if not busy:
-                    break
+            while time.monotonic() < deadline and any(
+                    self.pool.outstanding(shard)
+                    for shard in range(len(self.pool))):
                 time.sleep(0.05)
         self.stop()
 
@@ -813,20 +784,23 @@ class CompileServer:
         """Block until the server shuts down; True if it did."""
         return self._shutdown.wait(timeout)
 
-    # --------------------------------------------------------- connections
+    # ---------------------------------------------------------- transports
 
     async def _on_client(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter) -> None:
+        """The TCP adapter: one connection's lines into the pipeline."""
         if self._draining or self._shutdown.is_set():
             writer.close()
             return
-        rate = self.options.server_rate_limit
-        bucket = _TokenBucket(rate, self.options.server_rate_burst) \
-            if rate > 0 else None
-        tasks: set = set()
+        # asyncio only disables Nagle on sockets it created itself; on
+        # this one each small reply would wait for the client's next
+        # segment.
+        sock = writer.get_extra_info("socket")
+        if sock is not None:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         write_lock = asyncio.Lock()
 
-        async def write(response: Dict[str, Any]) -> None:
+        async def send(response: Dict[str, Any]) -> None:
             data = (json.dumps(response) + "\n").encode("utf-8")
             async with write_lock:
                 try:
@@ -835,132 +809,186 @@ class CompileServer:
                 except (ConnectionError, OSError):
                     pass
 
+        async def readline() -> bytes:
+            try:
+                return await reader.readline()
+            except (ConnectionError, OSError, ValueError):
+                return b""  # ValueError: line over the read limit
+
         try:
-            while not self._shutdown.is_set():
-                try:
-                    raw = await reader.readline()
-                except (ConnectionError, OSError, ValueError):
-                    break  # ValueError: line over the read limit
-                if not raw:
-                    break
-                if not raw.strip():
-                    continue
-                try:
-                    keep_going = await self._dispatch(raw, write, tasks,
-                                                      bucket)
-                except Exception as exc:  # front-door bug containment
-                    await write({"id": None, "ok": False,
-                                 "error": _error(
-                                     "internal",
-                                     f"{type(exc).__name__}: {exc}")})
-                    keep_going = True
-                if not keep_going:
-                    break
+            await self._serve(readline,
+                              _Stream(send, self.options.server_rate_limit))
         finally:
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
             try:
                 writer.close()
             except Exception:
                 pass
 
-    async def _dispatch(self, raw: bytes, write, tasks: set,
-                        bucket: Optional[_TokenBucket]) -> bool:
-        """Admit and launch one request line; False ends the
-        connection loop (shutdown)."""
+    async def _serve_stdio(self, stdin, stdout) -> None:
+        """The stdio adapter: a reader thread feeds the lines in."""
+        loop = asyncio.get_running_loop()
+        lines: "asyncio.Queue[bytes]" = asyncio.Queue()
+
+        def pump() -> None:
+            # OSError/ValueError: stdin closed under us; RuntimeError:
+            # the server stopped first and closed its loop.
+            try:
+                for raw in stdin:
+                    if isinstance(raw, str):
+                        raw = raw.encode("utf-8")
+                    loop.call_soon_threadsafe(lines.put_nowait, raw)
+            except (OSError, ValueError, RuntimeError):
+                pass
+            try:
+                loop.call_soon_threadsafe(lines.put_nowait, b"")
+            except RuntimeError:
+                pass
+
+        threading.Thread(target=pump, name="repro-stdin",
+                         daemon=True).start()
+
+        # A blocking write stalls the loop, but stdio is the loop's only
+        # stream: that is this stream's backpressure.
+        async def send(response: Dict[str, Any]) -> None:
+            try:
+                stdout.write(json.dumps(response) + "\n")
+                stdout.flush()
+            except (ValueError, OSError):
+                pass
+
+        await self._serve(lines.get,
+                          _Stream(send, self.options.server_rate_limit))
+
+    async def _serve(self, readline, stream: _Stream) -> None:
+        """Run one stream's lines through the pipeline until EOF or
+        shutdown; every reply in flight is written before it returns."""
+        try:
+            while not self._shutdown.is_set():
+                raw = await readline()
+                if not raw:
+                    break
+                if not raw.strip():
+                    continue
+                try:
+                    if not await self._pipeline(raw, stream):
+                        break
+                except Exception as exc:  # front-door bug containment
+                    await stream.send({"id": None, "ok": False,
+                                       "error": _error(
+                                           "internal",
+                                           f"{type(exc).__name__}: {exc}")})
+        finally:
+            await stream.settle()
+
+    # ------------------------------------------------------------ pipeline
+
+    async def _pipeline(self, raw: bytes, stream: _Stream) -> bool:
+        """decode -> management ops -> rate limit -> budget ceilings ->
+        memo stage -> admission -> execute -> encode, for one request
+        line.  False ends the stream (shutdown)."""
         try:
             request = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self.metrics.incr("requests_total")
-            self.metrics.incr("errors_total")
-            self.metrics.incr("errors.protocol")
-            await write({"id": None, "ok": False,
-                         "error": _error("protocol",
-                                         f"malformed JSON: {exc}")})
+            if raw.count(b"[") + raw.count(b"{") > MAX_NESTING \
+                    and _depth(request) > MAX_NESTING:
+                raise ValueError(f"nested deeper than {MAX_NESTING} levels")
+        # ValueError: bad UTF-8 or JSON, an integer over Python's digit
+        # limit, or too deep; RecursionError: too deep for the decoder
+        except (ValueError, RecursionError) as exc:
+            await stream.send(self._reject(
+                None, _error("protocol", f"malformed JSON: {exc}")))
             return True
-        request_id = request.get("id") if isinstance(request, dict) else None
-        is_shutdown = isinstance(request, dict) \
-            and request.get("op") == "shutdown"
-        if is_shutdown:
-            # Graceful: earlier requests on this connection respond
-            # before the shutdown does.
-            if tasks:
-                await asyncio.gather(*list(tasks), return_exceptions=True)
-            if self.sharded:
-                self.metrics.incr("requests_total")
-                response = {"id": request_id, "ok": True,
-                            "result": {"shutting_down": True}}
-            else:
-                response = self.service.handle(request)
-            await write(response)
-            if response.get("ok"):
-                self.stop()
-            return False
-        if bucket is not None and not bucket.take():
-            self.metrics.incr("requests_total")
-            self.metrics.incr("rate_limited_total")
-            self.metrics.incr("errors_total")
-            self.metrics.incr("errors.service.rate-limited")
-            await write({"id": request_id, "ok": False,
-                         "error": _error(
-                             "rate-limited",
-                             f"per-connection rate limit "
-                             f"({self.options.server_rate_limit:g} req/s) "
-                             f"exceeded", code="service.rate-limited")})
+        fields = request if isinstance(request, dict) else {}
+        request_id = fields.get("id")
+        op = fields.get("op")
+        if op in ("ping", "stats", "shutdown"):
+            return await self._manage(op, request_id, stream)
+        if stream.bucket is not None and not stream.bucket.take():
+            await stream.send(self._reject(request_id, _error(
+                "rate-limited",
+                f"per-connection rate limit "
+                f"({self.options.server_rate_limit:g} req/s) exceeded",
+                code="service.rate-limited"), "rate_limited_total"))
             return True
         try:
-            timeout = self._request_timeout(request)
+            timeout = self._request_timeout(fields)
         except ServiceLimitError as exc:
-            self.metrics.incr("requests_total")
-            self.metrics.incr("errors_total")
-            self.metrics.incr(f"errors.{exc.code}")
-            await write({"id": request_id, "ok": False,
-                         "error": _repro_error_envelope(exc)})
+            await stream.send(self._reject(request_id,
+                                           _repro_error_envelope(exc)))
             return True
-        if not self.sharded:
-            fast = self.service.try_handle_fast(request)
-            if fast is not None:
-                await write(fast)
+        if self.service is not None:
+            response = self.service.memo_stage(request)
+            if response is not None:
+                await stream.send(response)
                 return True
-        shard = self._route(request) if self.sharded else None
-        if self.sharded:
-            queued = self.pool.outstanding(shard) if shard is not None \
-                else min(self.pool.outstanding(i)
-                         for i in range(len(self.pool)))
-        else:
-            queued = self._outstanding
+        shard = self._route(fields)
+        queued = self.pool.outstanding(shard)
         if queued >= max(1, self.options.server_queue_depth):
-            self.metrics.incr("requests_total")
-            self.metrics.incr("shed_total")
-            self.metrics.incr("errors_total")
-            self.metrics.incr("errors.service.overloaded")
-            where = f"shard {shard}" if self.sharded else "the server"
-            await write({"id": request_id, "ok": False,
-                         "error": _error(
-                             "overloaded",
-                             f"{where} has {queued} requests outstanding "
-                             f"(queue depth "
-                             f"{self.options.server_queue_depth}); "
-                             f"retry with backoff",
-                             code="service.overloaded")})
+            where = f"shard {shard}" if self.service is None \
+                else "the server"
+            await stream.send(self._reject(request_id, _error(
+                "overloaded",
+                f"{where} has {queued} requests outstanding (queue depth "
+                f"{self.options.server_queue_depth}); retry with backoff",
+                code="service.overloaded"), "shed_total"))
             return True
-        # Count the request *now*, before yielding back to the read
-        # loop: a burst of pipelined lines must see each other in the
-        # queue-depth check, not all slip in before the first task runs.
-        self._outstanding += 1
-        task = asyncio.ensure_future(
-            self._run_request(request, write, timeout, shard))
-        tasks.add(task)
-        task.add_done_callback(tasks.discard)
+        # Submitted before the next line is read, so the requests of a
+        # pipelined burst see each other in the queue-depth check.
+        future = self.pool.submit(request, shard)
+        stream.spawn(self._execute(future, request_id, op, shard, timeout,
+                                   stream))
         return True
 
-    def _route(self, request: Any) -> Optional[int]:
-        """The home shard of a request: by the content address of its
-        source, program handle, or module set — so one program's
-        traffic always finds the worker whose caches hold it.  None
-        (management ops, no content) means least-loaded."""
-        if not isinstance(request, dict):
-            return None
+    def _reject(self, request_id: Any, error: Dict[str, Any],
+                *counters: str) -> Dict[str, Any]:
+        """A front-door error reply, counted as one request."""
+        for name in ("requests_total", "errors_total",
+                     f"errors.{error['code']}") + counters:
+            self.metrics.incr(name)
+        return {"id": request_id, "ok": False, "error": error}
+
+    async def _manage(self, op: str, request_id: Any,
+                      stream: _Stream) -> bool:
+        """Answer a management op at the front door, in both modes."""
+        self.metrics.incr("requests_total")
+        if op == "stats":
+            # Gathered off the loop, without holding up the stream.
+            stream.spawn(self._stats_reply(request_id, stream))
+            return True
+        with self.metrics.time(op):
+            if op == "ping":
+                result: Dict[str, Any] = {
+                    "pong": True,
+                    "protocol": PROTOCOL_VERSION,
+                    "version": SERVER_VERSION,
+                    "shards": self.options.server_shards,
+                    "options_fingerprint": self._options_fp,
+                    "prelude_fingerprint": self.snapshot_fp,
+                }
+            else:
+                # Graceful: earlier requests on this stream respond
+                # before the shutdown does.
+                await stream.settle()
+                result = {"shutting_down": True}
+        await stream.send({"id": request_id, "ok": True, "result": result})
+        if op == "ping":
+            return True
+        self.stop()
+        return False
+
+    async def _stats_reply(self, request_id: Any, stream: _Stream) -> None:
+        with self.metrics.time("stats"):
+            result = await asyncio.get_running_loop().run_in_executor(
+                None, self.stats)
+        await stream.send({"id": request_id, "ok": True, "result": result})
+
+    def _route(self, request: Dict[str, Any]) -> int:
+        """The shard a request executes on: the home shard of its
+        content address — source, program handle or module set — so
+        one program's traffic always finds the shard whose caches hold
+        it; the least-loaded shard for requests without content."""
+        shards = len(self.pool)
+        if shards == 1:
+            return 0
         source = request.get("source")
         if isinstance(source, str):
             return self.pool.shard_of(
@@ -978,112 +1006,14 @@ class CompileServer:
                                                            "replace"))
                     digest.update(b"\x00")
             return self.pool.shard_of(digest.hexdigest())
-        return None
+        return min(range(shards), key=self.pool.outstanding)
 
-    async def _run_request(self, request: Dict[str, Any], write,
-                           timeout: Optional[float],
-                           shard: Optional[int]) -> None:
-        op = request.get("op") if isinstance(request, dict) else None
-        request_id = request.get("id") if isinstance(request, dict) else None
-        t0 = time.perf_counter()
-        try:  # admission already counted this request in _dispatch
-            if self.sharded:
-                response = await self._run_sharded(request, request_id,
-                                                   timeout, shard, op)
-            else:
-                loop = asyncio.get_event_loop()
-                future = loop.run_in_executor(
-                    self._executor, self.service.handle, request)
-                try:
-                    response = await asyncio.wait_for(future, timeout)
-                except asyncio.TimeoutError:
-                    self.metrics.incr("timeouts_total")
-                    self.metrics.incr("errors.timeout")
-                    response = {"id": request_id, "ok": False,
-                                "error": _error(
-                                    "timeout",
-                                    f"request exceeded {timeout}s budget")}
-        finally:
-            self._outstanding -= 1
-        if self.sharded and isinstance(op, str):
-            elapsed = time.perf_counter() - t0
-            self.metrics.observe(op, elapsed)
-            if shard is not None:
-                self.metrics.observe(f"shard{shard}.{op}", elapsed)
-        await write(response)
-
-    async def _run_sharded(self, request: Dict[str, Any], request_id: Any,
-                           timeout: Optional[float], shard: Optional[int],
-                           op: Optional[str]) -> Dict[str, Any]:
-        if op == "ping":
-            self.metrics.incr("requests_total")
-            return {"id": request_id, "ok": True, "result": {
-                "pong": True,
-                "protocol": PROTOCOL_VERSION,
-                "version": SERVER_VERSION,
-                "shards": len(self.pool),
-                "options_fingerprint": self._options_fp,
-                "prelude_fingerprint": self.snapshot_fp,
-            }}
-        if op == "stats":
-            self.metrics.incr("requests_total")
-            return await self._sharded_stats(request_id)
-        if shard is None:
-            shard = min(range(len(self.pool)),
-                        key=lambda i: self.pool.outstanding(i))
-        future = asyncio.wrap_future(self.pool.submit(request, shard=shard))
-        try:
-            return await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            self.metrics.incr("timeouts_total")
-            self.metrics.incr("errors.timeout")
-            # No portable way to interrupt a compute-bound worker:
-            # kill it.  The pool respawns it and resubmits the
-            # requests queued behind the runaway one.
-            self.pool.kill_shard(shard)
-            return {"id": request_id, "ok": False,
-                    "error": _error("timeout",
-                                    f"request exceeded {timeout}s budget; "
-                                    f"shard {shard} was recycled")}
-
-    async def _sharded_stats(self, request_id: Any) -> Dict[str, Any]:
-        """Fleet-wide ``stats``: every worker's snapshot merged with
-        the front door's own metrics (counters add; merged percentiles
-        are count-weighted approximations — see docs/SERVICE.md)."""
-        for i in range(len(self.pool)):
-            self.metrics.gauge(f"queue_depth.shard{i}",
-                               self.pool.outstanding(i))
-        futures = [asyncio.wrap_future(s.submit({"op": "stats"}))
-                   for s in self.pool.shards]
-        gathered = await asyncio.gather(
-            *(asyncio.wait_for(f, timeout=30.0) for f in futures),
-            return_exceptions=True)
-        server_snaps = [self.metrics.snapshot()]
-        cache_snaps = []
-        for item in gathered:
-            if isinstance(item, dict) and item.get("ok"):
-                result = item["result"]
-                server_snaps.append(result.get("server", {}))
-                cache_snaps.append(result.get("cache", {}))
-        result = {
-            "protocol": PROTOCOL_VERSION,
-            "version": SERVER_VERSION,
-            "server": merge_metric_snapshots(server_snaps),
-            "cache": merge_cache_snapshots(cache_snaps),
-            "snapshot": {
-                "fingerprint": self.snapshot_fp,
-                "prelude_bindings": self.prelude_bindings,
-            },
-            "shards": self.pool.info(),
-        }
-        return {"id": request_id, "ok": True, "result": result}
-
-    def _request_timeout(self, request: Any) -> Optional[float]:
+    def _request_timeout(self, request: Dict[str, Any]) -> Optional[float]:
         """The request's time budget, honouring the client's
         ``timeout`` field up to ``request_timeout_ceiling`` (beyond it:
         ``service.limit-exceeded``)."""
         timeout = self.options.request_timeout
-        if isinstance(request, dict) and "timeout" in request:
+        if "timeout" in request:
             try:
                 requested: Optional[float] = float(request["timeout"])
             except (TypeError, ValueError):
@@ -1095,119 +1025,66 @@ class CompileServer:
                 timeout = requested
         return timeout if timeout and timeout > 0 else None
 
-    # -------------------------------------------------------------- stdio
-
-    def _submit_blocking(self, request: Dict[str, Any]):
-        """Backend-neutral submission for the thread-based stdio
-        transport; returns a concurrent future of the response."""
-        if self.sharded:
-            return self.pool.submit(request, shard=self._route(request))
-        return self._executor.submit(self.service.handle, request)
-
-    def serve_stdio(self, stdin=None, stdout=None) -> None:
-        """Serve line-delimited JSON on stdio until EOF or shutdown.
-
-        Thread-based rather than asyncio: it must work against plain
-        file objects (tests drive it with in-memory streams), which
-        the event loop cannot poll portably."""
-        stdin = stdin if stdin is not None else sys.stdin.buffer
-        stdout = stdout if stdout is not None else sys.stdout
-        write_lock = threading.Lock()
-
-        def write(response: Dict[str, Any]) -> None:
-            line = json.dumps(response) + "\n"
-            with write_lock:
-                try:
-                    stdout.write(line)
-                    stdout.flush()
-                except (ValueError, OSError):
-                    pass
-
-        waiters: list = []
-        for raw in stdin:
-            if isinstance(raw, str):
-                raw = raw.encode("utf-8")
-            if not raw.strip():
-                continue
-            if not self._dispatch_line(raw, write, waiters):
-                break
-            if self._shutdown.is_set():
-                break
-        for waiter in waiters:
-            waiter.join()
-        self._shutdown.set()
-
-    def _dispatch_line(self, raw: bytes, write,
-                       waiters: Optional[list] = None) -> bool:
-        """Parse and run one request line (stdio transport); False
-        stops the loop (shutdown was requested).  Spawned waiter
-        threads are appended to *waiters* so the caller can drain
-        them."""
+    async def _execute(self, future, request_id: Any, op: Any, shard: int,
+                       timeout: Optional[float], stream: _Stream) -> None:
+        started = time.perf_counter()
         try:
-            request = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self.metrics.incr("requests_total")
-            self.metrics.incr("errors_total")
-            self.metrics.incr("errors.protocol")
-            write({"id": None, "ok": False,
-                   "error": _error("protocol", f"malformed JSON: {exc}")})
-            return True
-        request_id = request.get("id") if isinstance(request, dict) else None
-        is_shutdown = isinstance(request, dict) \
-            and request.get("op") == "shutdown"
-        if is_shutdown and waiters:
-            # Graceful: earlier requests on this connection respond
-            # before the shutdown does.
-            for waiter in waiters:
-                waiter.join()
-        try:
-            timeout = self._request_timeout(request)
-        except ServiceLimitError as exc:
-            self.metrics.incr("requests_total")
-            self.metrics.incr("errors_total")
-            self.metrics.incr(f"errors.{exc.code}")
-            write({"id": request_id, "ok": False,
-                   "error": _repro_error_envelope(exc)})
-            return True
-        if is_shutdown and self.sharded:
-            self.metrics.incr("requests_total")
-            write({"id": request_id, "ok": True,
-                   "result": {"shutting_down": True}})
-            self.stop()
-            return False
-        future = self._submit_blocking(request)
+            response = await asyncio.wait_for(asyncio.wrap_future(future),
+                                              timeout)
+        except asyncio.TimeoutError:
+            self.metrics.incr("timeouts_total")
+            self.metrics.incr("errors.timeout")
+            message = f"request exceeded {timeout}s budget"
+            if self.pool.kill_shard(shard):
+                # The pool respawns the worker and resubmits the
+                # requests queued behind the runaway one.
+                message += f"; shard {shard} was recycled"
+            response = {"id": request_id, "ok": False,
+                        "error": _error("timeout", message)}
+        except Exception as exc:  # the pool stopped under the request
+            response = {"id": request_id, "ok": False,
+                        "error": _error("internal",
+                                        f"{type(exc).__name__}: {exc}")}
+        if isinstance(op, str) and hasattr(CompileService, f"_op_{op}"):
+            self.metrics.observe(f"shard{shard}.{op}",
+                                 time.perf_counter() - started)
+        await stream.send(response)
 
-        def deliver() -> None:
+    def stats(self, timeout: float = STATS_TIMEOUT) -> Dict[str, Any]:
+        """The fleet-wide ``stats`` result: the front door's metrics
+        merged with every shard's (counters add; merged percentiles are
+        count-weighted approximations — see docs/SERVICE.md).  A shard
+        that does not answer within *timeout* is left out."""
+        shards = range(len(self.pool))
+        for shard in shards:
+            self.metrics.gauge(f"queue_depth.shard{shard}",
+                               self.pool.outstanding(shard))
+        futures = [self.pool.submit({"op": "stats"}, shard)
+                   for shard in shards]
+        deadline = time.monotonic() + timeout
+        results = []
+        for future in futures:
             try:
-                response = future.result(timeout=timeout)
-            except FutureTimeout:
-                self.metrics.incr("timeouts_total")
-                self.metrics.incr("errors.timeout")
-                write({"id": request_id, "ok": False,
-                       "error": _error(
-                           "timeout",
-                           f"request exceeded {timeout}s budget")})
-                future.cancel()
-                if not future.cancelled():
-                    future.add_done_callback(lambda f: f.exception())
-                return
-            except Exception as exc:  # pool shutdown races, etc.
-                write({"id": request_id, "ok": False,
-                       "error": _error("internal", str(exc))})
-                return
-            write(response)
-            if is_shutdown and response.get("ok"):
-                self.stop()
-
-        if is_shutdown or timeout is None:
-            deliver()  # nothing to time out; keep ordering simple
-        else:
-            waiter = threading.Thread(target=deliver, name="repro-waiter",
-                                      daemon=True)
-            waiter.start()
-            if waiters is not None:
-                waiters.append(waiter)
-        return not is_shutdown
+                reply = future.result(
+                    timeout=max(0.0, deadline - time.monotonic()))
+            except Exception:
+                continue
+            if reply.get("ok"):
+                results.append(reply["result"])
+        return {
+            "protocol": PROTOCOL_VERSION,
+            "version": SERVER_VERSION,
+            "server": merge_metric_snapshots(
+                [self.metrics.snapshot()]
+                + [result.get("server", {}) for result in results]),
+            "cache": merge_cache_snapshots(
+                [result.get("cache", {}) for result in results]),
+            "snapshot": {
+                "fingerprint": self.snapshot_fp,
+                "prelude_bindings": self.pool.snapshot.n_bindings,
+            },
+            "shards": self.pool.info(),
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""The multiprocess worker pool behind the sharded compile server.
+"""The two backends behind the compile server's front door, with one
+interface — ``submit(request, shard) -> Future``, ``outstanding``,
+``kill_shard``, ``info`` and ``stop``: the in-process
+:class:`LocalPool` (one shard) and the :class:`WorkerPool`.
 
-One :class:`WorkerPool` owns N worker *processes*, each running a full
+A :class:`WorkerPool` owns N worker *processes*, each running a full
 :class:`~repro.service.server.CompileService` — its own prelude
 snapshot, in-memory compile cache and metrics — over a pipe speaking
 ``(seq, request) -> (seq, response)``.  All workers share the
@@ -8,9 +11,9 @@ content-addressed *disk* cache tier (publishes are atomic renames, GC
 is cross-process locked; see :mod:`repro.service.cache`), so a program
 compiled by one worker is a disk hit for every other.
 
-Protocol invariant: each worker is **serial FIFO** — it processes its
-pipe in order and answers in order.  That single invariant makes
-failure handling exact:
+Protocol invariant of a worker process: it is **serial FIFO** — it
+processes its pipe in order and answers in order.  That single
+invariant makes failure handling exact:
 
 * the *head* of a shard's pending deque is always the request the
   worker is executing right now;
@@ -37,10 +40,11 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import sys
 import threading
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional
 
 from repro.options import CompilerOptions
@@ -48,10 +52,29 @@ from repro.options import CompilerOptions
 #: fallback request budget for pool management traffic (stats, drain)
 _MGMT_TIMEOUT = 30.0
 
+#: request-handling threads of the in-process backend
+LOCAL_THREADS = 4
+
+#: thread stack size for request handling: interpreted evaluation
+#: nests deeply (see :func:`repro.coreir.eval.with_big_stack`), and a
+#: default-sized stack overflows fatally, below Python.  The memory is
+#: virtual: untouched pages cost nothing.
+STACK_MB = 512
+
 
 def _crash_error(message: str) -> Dict[str, Any]:
     return {"type": "worker-crashed", "code": "service.worker-crashed",
             "message": message, "pos": None}
+
+
+def _stopped_reply(request: Any) -> "Future":
+    """A future already holding the reply for a request submitted to
+    a stopped pool."""
+    future: "Future" = Future()
+    future.set_result({
+        "id": request.get("id") if isinstance(request, dict) else None,
+        "ok": False, "error": _crash_error("worker pool is stopped")})
+    return future
 
 
 def _worker_main(conn, options: CompilerOptions, index: int) -> None:
@@ -70,7 +93,6 @@ def _worker_main(conn, options: CompilerOptions, index: int) -> None:
     if sys.getrecursionlimit() < 1_000_000:
         sys.setrecursionlimit(1_000_000)
     service = CompileService(options)
-    service.shard_index = index
     work: "queue_mod.Queue" = queue_mod.Queue()
 
     def run() -> None:
@@ -90,7 +112,7 @@ def _worker_main(conn, options: CompilerOptions, index: int) -> None:
             except (BrokenPipeError, OSError):
                 return
 
-    old = threading.stack_size(512 * 1024 * 1024)
+    old = threading.stack_size(STACK_MB * 1024 * 1024)
     try:
         handler = threading.Thread(target=run, name=f"repro-shard{index}",
                                    daemon=True)
@@ -157,12 +179,7 @@ class _Shard:
         future: "Future" = Future()
         with self._lock:
             if self._closed:
-                future.set_result({
-                    "id": request.get("id")
-                    if isinstance(request, dict) else None,
-                    "ok": False,
-                    "error": _crash_error("worker pool is stopped")})
-                return future
+                return _stopped_reply(request)
             seq = next(self._seq)
             self._pending.append((seq, request, future))
             self.requests += 1
@@ -240,6 +257,8 @@ class _Shard:
                 pass
             self._spawn_locked()
             for _old_seq, request, future in queued:
+                if future.done():
+                    continue  # timed out while queued: nobody waits
                 seq = next(self._seq)
                 self._pending.append((seq, request, future))
                 try:
@@ -313,13 +332,13 @@ class WorkerPool:
     def outstanding(self, shard: int) -> int:
         return self.shards[shard].outstanding()
 
-    def total_outstanding(self) -> int:
-        return sum(s.outstanding() for s in self.shards)
-
     # ------------------------------------------------------------ lifecycle
 
-    def kill_shard(self, shard: int) -> None:
+    def kill_shard(self, shard: int) -> bool:
+        """Kill and respawn *shard*'s worker process; True: the shard
+        was recycled."""
         self.shards[shard].kill()
+        return True
 
     def stop(self, grace: Optional[float] = None) -> None:
         if self._stopped:
@@ -356,3 +375,76 @@ class WorkerPool:
 
     def __exit__(self, *_exc: Any) -> None:
         self.stop()
+
+
+class LocalPool:
+    """The in-process backend: one shard — a single
+    :class:`~repro.service.server.CompileService` — served by
+    :data:`LOCAL_THREADS` big-stack threads, behind the same interface
+    as :class:`WorkerPool`.
+
+    A request counts as outstanding from :meth:`submit` until its
+    thread returns, whatever the front door's timeout did meanwhile:
+    admission control must see the threads a runaway request still
+    occupies.
+    """
+
+    def __init__(self, service: Any) -> None:
+        self.service = service
+        self.snapshot = service.snapshot
+        self.requests = 0
+        self._outstanding = 0
+        self._stopped = False
+        self._lock = threading.Lock()
+        if sys.getrecursionlimit() < 1_000_000:
+            sys.setrecursionlimit(1_000_000)
+        # Stack size is fixed at thread creation and the executor spawns
+        # threads lazily, so every thread is forced into existence here,
+        # inside the enlarged-stack window.
+        old = threading.stack_size(STACK_MB * 1024 * 1024)
+        try:
+            self._executor = ThreadPoolExecutor(
+                max_workers=LOCAL_THREADS, thread_name_prefix="repro-worker")
+            ready = threading.Barrier(LOCAL_THREADS + 1)
+            started = [self._executor.submit(ready.wait)
+                       for _ in range(LOCAL_THREADS)]
+            ready.wait()
+            for future in started:
+                future.result()
+        finally:
+            threading.stack_size(old)
+
+    def __len__(self) -> int:
+        return 1
+
+    def submit(self, request: Dict[str, Any], shard: int = 0) -> "Future":
+        try:
+            future = self._executor.submit(self.service.handle, request)
+        except RuntimeError:  # the executor is shut down
+            return _stopped_reply(request)
+        with self._lock:
+            self.requests += 1
+            self._outstanding += 1
+        future.add_done_callback(self._release)
+        return future
+
+    def _release(self, _future: "Future") -> None:
+        with self._lock:
+            self._outstanding -= 1
+
+    def outstanding(self, shard: int = 0) -> int:
+        return self._outstanding
+
+    def kill_shard(self, shard: int) -> bool:
+        """Threads cannot be interrupted: the request runs on to its
+        own step or depth budget.  False: nothing was recycled."""
+        return False
+
+    def info(self) -> List[Dict[str, Any]]:
+        return [{"index": 0, "pid": os.getpid(), "alive": not self._stopped,
+                 "requests": self.requests,
+                 "outstanding": self._outstanding, "crashes": 0}]
+
+    def stop(self) -> None:
+        self._stopped = True
+        self._executor.shutdown(wait=False, cancel_futures=True)

@@ -32,6 +32,7 @@ from repro.service.snapshot import PreludeSnapshot
 
 from tests.fuzz.corpus import ADVERSARIAL_CORPUS, XMODULE_CORPUS
 from tests.fuzz.gen import ProgramGen
+from tests.fuzz.protocol import run_protocol
 
 #: Step budget for evaluating a fuzzed ``main`` — plenty for the tiny
 #: generated programs, small enough that ``loop n = loop (n + 1)``
@@ -233,8 +234,25 @@ def main(argv=None) -> int:
                          "mismatch fails the run (a reduce-side "
                          "static.multi-param rejection is the one tolerated "
                          "divergence — those programs are chr-only)")
+    ap.add_argument("--protocol", action="store_true",
+                    help="protocol stage instead of programs: a burst of "
+                         "--count seeded request lines (malformed JSON, "
+                         "wrong field types, odd ids, a pipelined "
+                         "shutdown, timeouts racing shard kills) to both "
+                         "server backends over TCP and stdio; every line "
+                         "before the shutdown must get exactly one reply "
+                         "with a stable error code")
     ap.add_argument("--verbose", action="store_true")
     args = ap.parse_args(argv)
+
+    if args.protocol:
+        started = time.monotonic()
+        codes = run_protocol(args.seed, args.count)
+        print(f"fuzz --protocol: {sum(codes.values())} replies in "
+              f"{time.monotonic() - started:.1f}s, 0 violations")
+        for code, n in sorted(codes.items(), key=lambda kv: -kv[1]):
+            print(f"  {code:24s} {n}")
+        return 0
 
     options = CompilerOptions()
     if args.lint:

@@ -1,5 +1,5 @@
 """The ``check`` service verb, multi-position error envelopes, and the
-fast-path key-resolution / eval-EMA fixes.
+memo stage's key resolution / eval-EMA fixes.
 
 ``check`` type-checks a module set without linking or evaluating,
 through the same artifact cache as ``build`` — so a warm re-check
@@ -135,7 +135,7 @@ class TestPositionsEnvelope:
 
 @pytest.fixture(scope="module")
 def server():
-    options = CompilerOptions(server_workers=2, request_timeout=30.0)
+    options = CompilerOptions(request_timeout=30.0)
     srv = CompileServer(service=CompileService(options))
     port = srv.start()
     yield srv, port
@@ -184,19 +184,18 @@ class TestCheckOverWire:
 
 
 class TestFastPathKeyResolution:
-    """Satellite: the fast path must probe the memos with the key the
-    slow-path op would resolve to, never the raw request handle."""
+    """The memo stage (once the fast path) must probe the memos with
+    the key the op itself resolves to, never the raw request handle."""
 
     def _service(self) -> CompileService:
-        return CompileService(CompilerOptions(
-            server_expr_cache=8, server_fastpath_ms=1000.0))
+        return CompileService(CompilerOptions(server_expr_cache=8))
 
     def test_typeof_by_source_takes_fast_path(self):
         svc = self._service()
         request = {"op": "typeof", "source": "v = 41", "expr": "v + 1"}
-        assert svc.try_handle_fast(request) is None  # cold: no memo
+        assert svc.memo_stage(request) is None  # cold: no memo
         svc.handle(request)  # fills cache + memo
-        resp = svc.try_handle_fast(request)
+        resp = svc.memo_stage(request)
         assert resp is not None and resp["result"]["type"] == "Int"
         assert svc.metrics.counter("fastpath_hits") == 1
 
@@ -204,12 +203,12 @@ class TestFastPathKeyResolution:
         svc = self._service()
         request = {"op": "typeof", "source": "v = 41", "expr": "v"}
         svc.handle(request)
-        # A bogus handle alongside the source: _resolve_program ignores
-        # it (not cached) and compiles/looks up by source, so the fast
-        # path must do the same — the old code probed the memo with the
+        # A bogus handle alongside the source: _resolve ignores it (not
+        # cached) and compiles/looks up by source, so the memo stage
+        # must do the same — the old fast path probed the memo with the
         # raw handle, missed, and fell back to the executor.
         stale = dict(request, program="feedface" * 8)
-        resp = svc.try_handle_fast(stale)
+        resp = svc.memo_stage(stale)
         assert resp is not None and resp["result"]["type"] == "Int"
 
     def test_memo_without_program_stays_on_slow_path(self):
@@ -218,16 +217,16 @@ class TestFastPathKeyResolution:
         key = svc.handle(request)["result"]["program"]
         assert (key, "v") in svc._typeof_cache
         # Evict the program while the memo survives (separate LRUs):
-        # the fast path must decline, or the slow-path op would
-        # recompile on the event loop.
+        # the memo stage must decline, or the op would recompile on
+        # the event loop.
         svc.cache.clear()
         hits_before = svc.metrics.counter("fastpath_hits")
-        assert svc.try_handle_fast(request) is None
+        assert svc.memo_stage(request) is None
         assert svc.metrics.counter("fastpath_hits") == hits_before
 
     def test_evicted_handle_without_source_declines(self):
         svc = self._service()
-        assert svc.try_handle_fast(
+        assert svc.memo_stage(
             {"op": "typeof", "program": "feedface" * 8,
              "expr": "1"}) is None
 
@@ -247,7 +246,7 @@ class TestEvalLatencyEstimate:
     def test_ema_recorded_with_overrides(self):
         # Overrides (step_limit) disable evaluator reuse but must not
         # disable latency accounting — a stale "fast" estimate would
-        # let try_handle_fast run a slow expression on the event loop.
+        # let the memo stage run a slow expression on the event loop.
         svc = CompileService(CompilerOptions(server_expr_cache=8))
         key = svc.handle({"op": "compile",
                           "source": "v = 41"})["result"]["program"]

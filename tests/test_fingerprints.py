@@ -55,16 +55,13 @@ SERVICE_OVERRIDES = {
     "cache_disk_budget": 1_000_000,
     "server_host": "0.0.0.0",
     "server_port": 7433,
-    "server_workers": 17,
     "request_timeout": 99.5,
     "build_jobs": 2,
     "lint": True,
     "server_shards": 4,
     "server_queue_depth": 7,
     "server_rate_limit": 250.0,
-    "server_rate_burst": 50.0,
     "server_expr_cache": 64,
-    "server_fastpath_ms": 0.5,
     "server_drain_grace": 11.0,
     "request_timeout_ceiling": 30.0,
     "constraint_provenance": False,

@@ -23,6 +23,7 @@ from tests.fuzz.corpus import (
     XMODULE_CORPUS,
 )
 from tests.fuzz.gen import ProgramGen
+from tests.fuzz.protocol import check_replies, run_protocol
 from tests.fuzz.run_fuzz import EVAL_STEP_LIMIT, check_modules, check_one
 
 
@@ -281,3 +282,21 @@ class TestServerSurvival:
         assert not service.handle({"op": "nope", "id": 9})["ok"]
         assert not service.handle({})["ok"]
         self.assert_alive(service)
+
+
+class TestProtocolFuzz:
+    """The protocol stage of the fuzz harness (``run_fuzz --protocol``)
+    at a small burst size."""
+
+    def test_every_line_before_shutdown_gets_one_stable_reply(self):
+        codes = run_protocol(seed=0, count=60)
+        assert codes.get("ok") and codes.get("protocol"), codes
+        assert "internal" not in codes, codes
+
+    def test_invariant_catches_a_missing_reply(self):
+        shutdown = {"id": "shutdown", "ok": True,
+                    "result": {"shutting_down": True}}
+        with pytest.raises(AssertionError, match="0 replies"):
+            check_replies([0], 1, [shutdown])
+        check_replies([0], 1, [{"id": 0, "ok": True, "result": {}},
+                               shutdown])

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import socket
+import sys
 import threading
+import time
 
 import pytest
 
@@ -21,6 +24,7 @@ from repro.service.server import (
     PipelinedClient,
     ServiceClient,
 )
+from repro.service.worker import LocalPool
 
 PROGRAM = """
 class Sized a where
@@ -37,7 +41,7 @@ main = size (Box 42)
 
 @pytest.fixture(scope="module")
 def server():
-    options = CompilerOptions(server_workers=4, request_timeout=30.0)
+    options = CompilerOptions(request_timeout=30.0)
     srv = CompileServer(service=CompileService(options))
     port = srv.start()
     yield srv, port
@@ -146,6 +150,16 @@ class TestResilience:
         # The connection (and server) survive.
         assert client.request("ping")["ok"]
 
+    def test_deep_nesting_is_refused_at_decode(self, client):
+        deep = "[" * 200 + "]" * 200
+        client._sock.sendall(
+            f'{{"id": {deep}, "op": "ping"}}\n'.encode("utf-8"))
+        response = json.loads(client._reader.readline())
+        assert response["id"] is None
+        assert response["error"]["code"] == "protocol"
+        assert "nested deeper than 100" in response["error"]["message"]
+        assert client.request("ping", id_note=[[1]])["ok"]  # shallow is fine
+
     def test_timeout_does_not_kill_server(self, client):
         r = client.request("eval", source="main = 1",
                            expr="length (enumFromTo 1 100000)",
@@ -240,17 +254,17 @@ class TestAdmissionControl:
     ceilings on client-supplied budgets."""
 
     def test_overload_sheds_with_structured_error(self):
-        options = CompilerOptions(server_workers=1, server_queue_depth=1,
+        options = CompilerOptions(server_queue_depth=1,
                                   request_timeout=60.0)
         srv = CompileServer(service=CompileService(options))
         port = srv.start()
         try:
             with PipelinedClient("127.0.0.1", port, timeout=120.0) as c:
-                # One slow request occupies the single worker; a burst
-                # of never-seen programs behind it (each takes the slow
-                # path — nothing is memoized) exceeds queue depth 1 and
+                # One slow request fills the queue; a burst of
+                # never-seen programs behind it (none can take the memo
+                # stage — nothing is memoized) exceeds queue depth 1 and
                 # is shed rather than buffered without bound.  (Pings
-                # would not do: the fast path answers them inline, by
+                # would not do: the front door answers them itself, by
                 # design, even during overload.)
                 c.send("eval", source="main = 1",
                        expr="length (enumFromTo 1 200000)")
@@ -272,14 +286,15 @@ class TestAdmissionControl:
             srv.stop()
 
     def test_rate_limit_rejects_excess_requests(self):
-        options = CompilerOptions(server_workers=2, server_rate_limit=5.0,
-                                  server_rate_burst=5.0)
+        options = CompilerOptions(server_rate_limit=5.0)
         srv = CompileServer(service=CompileService(options))
         port = srv.start()
         try:
             with PipelinedClient("127.0.0.1", port, timeout=60.0) as c:
+                # Not pings: management ops are answered ahead of the
+                # rate limit.
                 for _ in range(25):
-                    c.send("ping")
+                    c.send("eval", source="main = 1", expr="1")
                 c.flush()
                 responses = c.collect(25)
             limited = [r for r in responses
@@ -293,10 +308,39 @@ class TestAdmissionControl:
         finally:
             srv.stop()
 
+    def test_timed_out_threads_stay_admitted(self):
+        # Threads cannot be killed: a request that timed out still
+        # occupies its thread until it returns, so admission must keep
+        # counting it — or the next request queues behind the runaways
+        # and times out instead of being shed.  The step limit bounds
+        # the runaways so their threads end.
+        options = CompilerOptions(server_queue_depth=4, request_timeout=0.5)
+        srv = CompileServer(service=CompileService(options))
+        port = srv.start()
+        try:
+            with PipelinedClient("127.0.0.1", port, timeout=60.0) as c:
+                for _ in range(4):
+                    c.send("eval", source="main = 1",
+                           expr="length (enumFromTo 1 100000000)",
+                           step_limit=500_000)
+                runaways = c.collect(4)
+                assert all(r["error"]["code"] == "timeout"
+                           for r in runaways), runaways
+                r = c.request("eval", source="main = 2", expr="main")
+                assert r["error"]["code"] == "service.overloaded", r
+                assert "4 requests outstanding" in r["error"]["message"]
+            deadline = time.monotonic() + 60
+            while srv.pool.outstanding(0) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            with ServiceClient("127.0.0.1", port) as c2:
+                r = c2.request("eval", source="main = 2", expr="main")
+                assert r["ok"] and r["result"]["value"] == "2", r
+        finally:
+            srv.stop()
+
     @pytest.fixture(scope="class")
     def ceiling_server(self):
-        options = CompilerOptions(server_workers=2,
-                                  eval_step_limit=100_000,
+        options = CompilerOptions(eval_step_limit=100_000,
                                   request_timeout_ceiling=30.0)
         srv = CompileServer(service=CompileService(options))
         port = srv.start()
@@ -322,7 +366,8 @@ class TestAdmissionControl:
 
     def test_timeout_over_ceiling_is_rejected(self, ceiling_server):
         with ServiceClient("127.0.0.1", ceiling_server) as c:
-            r = c.request("ping", timeout=3600.0)
+            r = c.request("eval", source="main = 1", expr="1 + 1",
+                          timeout=3600.0)
             assert not r["ok"]
             assert r["error"]["code"] == "service.limit-exceeded"
             assert r["error"]["limit"] == "timeout"
@@ -341,7 +386,7 @@ class TestAdmissionControl:
 
 class TestExpressionMemo:
     def test_repeated_expression_hits_the_memo(self):
-        options = CompilerOptions(server_workers=2)
+        options = CompilerOptions()
         srv = CompileServer(service=CompileService(options))
         port = srv.start()
         try:
@@ -360,10 +405,75 @@ class TestExpressionMemo:
             srv.stop()
 
 
+class TestLocalPool:
+    def test_outstanding_count_survives_contention(self):
+        # The admission count is bumped by submitters and dropped by
+        # the pool's threads as requests finish: a lost update would
+        # leave it off zero once all are done.
+        pool = LocalPool(CompileService(CompilerOptions()))
+        futures = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def submit_many(tag: int) -> None:
+                for i in range(40):
+                    futures.append(pool.submit(
+                        {"op": "eval", "source": "main = 1",
+                         "expr": f"{tag} + {i}"}))
+
+            threads = [threading.Thread(target=submit_many, args=(tag,))
+                       for tag in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+            assert not any(t.is_alive() for t in threads)
+            assert all(f.result(timeout=120)["ok"] for f in futures)
+        finally:
+            sys.setswitchinterval(old)
+        deadline = time.monotonic() + 30
+        while pool.outstanding(0) and time.monotonic() < deadline:
+            time.sleep(0.01)  # the last done-callbacks may still run
+        pool.stop()
+        assert pool.outstanding(0) == 0
+        assert pool.info()[0]["requests"] == 320
+
+
+class TestTransport:
+    def test_accepted_connections_disable_nagle(self, server):
+        # Without TCP_NODELAY on the server's end, each small reply
+        # waits for the client's next segment.
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("needs /proc to find the server's socket")
+        _srv, port = server
+        with ServiceClient("127.0.0.1", port) as c:
+            assert c.request("ping")["ok"]  # accepted and served
+            client_end = c._sock.getsockname()
+            flags = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    dup = os.dup(int(fd))
+                except OSError:
+                    continue
+                try:
+                    sock = socket.socket(fileno=dup)
+                except OSError:  # not a socket
+                    os.close(dup)
+                    continue
+                with sock:
+                    try:
+                        if sock.getpeername() == client_end:
+                            flags.append(sock.getsockopt(
+                                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+                    except OSError:
+                        pass
+        assert flags and all(flags), flags
+
+
 class TestLifecycle:
     def test_shutdown_request_stops_server(self):
         srv = CompileServer(service=CompileService(
-            CompilerOptions(server_workers=2)))
+            CompilerOptions()))
         port = srv.start()
         with ServiceClient("127.0.0.1", port) as c:
             r = c.request("shutdown")
@@ -391,7 +501,7 @@ class TestLifecycle:
         ]) + "\n"
         stdout = io.StringIO()
         srv = CompileServer(service=CompileService(
-            CompilerOptions(server_workers=2)))
+            CompilerOptions()))
         srv.serve_stdio(stdin=io.BytesIO(requests.encode("utf-8")),
                         stdout=stdout)
         lines = [json.loads(line) for line

@@ -9,11 +9,16 @@ worker dies when.
 
 from __future__ import annotations
 
+import io
+import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro import CompilerOptions
 from repro.service.cache import cache_key
 from repro.service.server import (
@@ -35,6 +40,8 @@ instance Sized Box where
 
 main = size (Box 42)
 """
+
+SLOW_EXPR = "length (enumFromTo 1 50000000)"
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +132,91 @@ class TestShardedProtocol:
                    for name in latency), latency
 
 
+class TestShardedCounting:
+    def test_stats_count_each_request_once(self):
+        # The front door answers stats itself and times only per-shard
+        # latency; the shards count and time what they execute.
+        srv = CompileServer(options=CompilerOptions(server_shards=2,
+                                                    request_timeout=60.0))
+        port = srv.start()
+        try:
+            with ServiceClient("127.0.0.1", port, timeout=120.0) as c:
+                for i in range(3):
+                    r = c.request("eval", source="main = 1", expr=f"{i} + 1")
+                    assert r["ok"], r
+                server = c.request("stats")["result"]["server"]
+        finally:
+            srv.stop()
+        assert server["counters"]["requests_total"] == 4
+        assert server["latency"]["eval"]["count"] == 3
+        assert sum(hist["count"] for name, hist in server["latency"].items()
+                   if name.endswith(".eval")) == 3
+
+
+class TestShardedStdio:
+    def test_front_door_answers_management_ops(self):
+        lines = [{"id": 1, "op": "ping"},
+                 {"id": 2, "op": "eval", "source": "main = 1",
+                  "expr": "2 + 3"},
+                 {"id": 3, "op": "stats"},
+                 {"id": 4, "op": "shutdown"}]
+        stdin = io.BytesIO("".join(json.dumps(line) + "\n"
+                                   for line in lines).encode("utf-8"))
+        stdout = io.StringIO()
+        srv = CompileServer(options=CompilerOptions(server_shards=2))
+        srv.serve_stdio(stdin=stdin, stdout=stdout)
+        by_id = {r["id"]: r for r in map(json.loads,
+                                         stdout.getvalue().splitlines())}
+        assert by_id[1]["result"]["shards"] == 2
+        assert by_id[2]["result"]["value"] == "5"
+        # the merged fleet view, not one worker's
+        assert [s["index"] for s in by_id[3]["result"]["shards"]] == [0, 1]
+        assert by_id[4]["result"]["shutting_down"]
+        # shutdown stopped the fleet
+        assert not any(s["alive"] for s in srv.pool.info())
+
+    def test_stdio_timeout_recycles_the_stuck_shard(self):
+        lines = [{"id": 1, "op": "eval", "source": "main = 1",
+                  "expr": SLOW_EXPR, "timeout": 0.5},
+                 {"id": 2, "op": "eval", "source": "main = 1",
+                  "expr": "20 + 22"},
+                 {"id": 3, "op": "shutdown"}]
+        stdin = io.BytesIO("".join(json.dumps(line) + "\n"
+                                   for line in lines).encode("utf-8"))
+        stdout = io.StringIO()
+        srv = CompileServer(options=CompilerOptions(
+            server_shards=1, eval_step_limit=2_000_000_000))
+        srv.serve_stdio(stdin=stdin, stdout=stdout)
+        by_id = {r["id"]: r for r in map(json.loads,
+                                         stdout.getvalue().splitlines())}
+        assert by_id[1]["error"]["code"] == "timeout"
+        assert "shard 0 was recycled" in by_id[1]["error"]["message"]
+        # queued behind the runaway: resubmitted to the respawned worker
+        assert by_id[2]["ok"] and by_id[2]["result"]["value"] == "42"
+        assert srv.pool.info()[0]["crashes"] == 1
+
+    def test_stats_json_writes_the_fleet_snapshot(self, tmp_path):
+        out = tmp_path / "stats.json"
+        script = "".join(json.dumps(line) + "\n" for line in [
+            {"id": 1, "op": "eval", "source": "main = 1", "expr": "2 + 3"},
+            {"id": 2, "op": "shutdown"}])
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(os.path.abspath(repro.__file__))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--stdio",
+             "--shards", "1", "--stats-json", str(out)],
+            input=script, capture_output=True, text=True, timeout=120,
+            env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert [json.loads(line)["ok"]
+                for line in proc.stdout.splitlines()] == [True, True]
+        stats = json.loads(out.read_text(encoding="utf-8"))
+        assert stats["counters"]["requests_total"] == 2
+        assert stats["latency"]["eval"]["count"] == 1
+        assert stats["cache"]["misses"] == 1
+        assert [s["index"] for s in stats["shards"]] == [0]
+
+
 class TestShardedCrashRecovery:
     def test_killed_workers_are_backfilled(self, sharded):
         srv, port = sharded
@@ -147,9 +239,6 @@ class TestShardedCrashRecovery:
             # The fleet serves again — on the same connection.
             r = c.request("eval", source="main = 1", expr="2 + 3")
             assert r["ok"] and r["result"]["value"] == "5"
-
-
-SLOW_EXPR = "length (enumFromTo 1 50000000)"
 
 
 class TestWorkerPool:

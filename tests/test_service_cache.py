@@ -36,7 +36,7 @@ class TestKeys:
             != cache_key("main = 1", other, FP)
 
     def test_service_options_do_not_invalidate(self):
-        tuned = CompilerOptions(cache_size=3, server_workers=9,
+        tuned = CompilerOptions(cache_size=3, server_queue_depth=9,
                                 request_timeout=1.5)
         assert cache_key("main = 1", OPTS, FP) \
             == cache_key("main = 1", tuned, FP)

@@ -126,7 +126,7 @@ class TestFingerprints:
     def test_service_options_do_not_change_fingerprint(self):
         a = prelude_fingerprint(CompilerOptions())
         b = prelude_fingerprint(CompilerOptions(cache_size=7,
-                                                server_workers=2))
+                                                server_shards=2))
         assert a == b
 
     def test_options_mismatch_rejected(self, snapshot):

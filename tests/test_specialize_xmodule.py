@@ -330,7 +330,7 @@ class TestServerBuild:
             CompileService,
             ServiceClient,
         )
-        options = CompilerOptions(server_workers=2, request_timeout=30.0)
+        options = CompilerOptions(request_timeout=30.0)
         srv = CompileServer(service=CompileService(options))
         port = srv.start()
         try:
