@@ -79,11 +79,19 @@ def module_cache_key(source: str, options: CompilerOptions,
     fingerprint of every module in the import *closure*.  Deep
     interface changes reach all transitive dependents through the
     closure; body-only edits change no fingerprint and are cut off."""
+    return _module_key(source, options_fingerprint(options), prelude_fp,
+                       dep_fingerprints)
+
+
+def _module_key(source: str, options_fp: str, prelude_fp: str,
+                dep_fingerprints: Sequence[Tuple[str, str]]) -> str:
+    """:func:`module_cache_key` with the options already fingerprinted
+    (a builder fingerprints them once, not once per module)."""
     h = hashlib.sha256()
     h.update(b"module-artifact\x00")
     h.update(source_hash(source).encode("ascii"))
     h.update(b"\x00")
-    h.update(options_fingerprint(options).encode("ascii"))
+    h.update(options_fp.encode("ascii"))
     h.update(b"\x00")
     h.update(prelude_fp.encode("ascii"))
     for name, fp in sorted(dep_fingerprints):
@@ -491,7 +499,8 @@ def link_modules(artifacts: Sequence[ModuleArtifact],
     inferencer.warnings.extend(warnings)
     ctx = CompileContext.forked(options, [], static_env, inferencer,
                                 prefix_core=tuple(core),
-                                n_prefix_bindings=snapshot.n_bindings)
+                                n_prefix_bindings=snapshot.n_bindings,
+                                transformed=snapshot.transformed())
     ctx.imports_resolved = True
     ctx.module_origins = origins
     ctx.unfoldings = unfoldings
@@ -605,6 +614,7 @@ class ModuleBuilder:
             options = snapshot.options if snapshot is not None \
                 else CompilerOptions()
         self.options = options
+        self._options_fp = options_fingerprint(options)
         self.snapshot = snapshot if snapshot is not None \
             else get_default_snapshot(options)
         if cache is None:
@@ -648,9 +658,7 @@ class ModuleBuilder:
         def build_one(name: str) -> None:
             msrc = graph.modules[name]
             closure = graph.closure(name)
-            key = module_cache_key(
-                msrc.source, self.options, self.snapshot.fingerprint,
-                [(dep, interfaces[dep].fingerprint) for dep in closure])
+            key = self._key(msrc, closure, interfaces)
             t = time.perf_counter()
             art = self.cache.get(key)
             cached = art is not None
@@ -732,18 +740,15 @@ class ModuleBuilder:
         broken: set = set()  # failed or skipped modules
 
         for name in graph.order:
-            blocked_on = sorted(dep for dep in graph.closure(name)
-                                if dep in broken)
+            closure = graph.closure(name)
+            blocked_on = sorted(dep for dep in closure if dep in broken)
             if blocked_on:
                 broken.add(name)
                 stats[name] = {"status": "skipped",
                                "blocked_on": blocked_on}
                 continue
             msrc = graph.modules[name]
-            closure = graph.closure(name)
-            key = module_cache_key(
-                msrc.source, self.options, self.snapshot.fingerprint,
-                [(dep, interfaces[dep].fingerprint) for dep in closure])
+            key = self._key(msrc, closure, interfaces)
             t = time.perf_counter()
             art = self.cache.get(key)
             cached = art is not None
@@ -779,6 +784,13 @@ class ModuleBuilder:
                            diagnostics=diagnostics,
                            cache=self.cache.snapshot(),
                            seconds=time.perf_counter() - t0)
+
+    def _key(self, msrc: ModuleSource, closure: Sequence[str],
+             interfaces: Dict[str, ModuleInterface]) -> str:
+        """:func:`module_cache_key` for *msrc* under this builder."""
+        return _module_key(
+            msrc.source, self._options_fp, self.snapshot.fingerprint,
+            [(dep, interfaces[dep].fingerprint) for dep in closure])
 
     #: ceiling on one distributed module compile (it covers a worker
     #: respawn after a crash; local compiles are unbounded as before)

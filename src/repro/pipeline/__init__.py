@@ -13,6 +13,7 @@ from repro.pipeline.context import (
     PassTiming,
     PhaseTrace,
     SourceUnit,
+    TransformedPrefix,
 )
 from repro.pipeline.manager import Pass, PassManager, UnknownPassError
 from repro.pipeline.passes import (
@@ -31,6 +32,7 @@ __all__ = [
     "PhaseTrace",
     "SourceUnit",
     "TRANSLATE",
+    "TransformedPrefix",
     "UnknownPassError",
     "default_pass_manager",
     "pass_names",

@@ -13,13 +13,15 @@ Two constructors cover the two ways a compilation starts:
 * :meth:`CompileContext.forked` — a warm compile on top of a prelude
   snapshot fork: the environments come pre-seeded and the prelude's
   already-translated core is carried as a *prefix* that the translate
-  pass prepends (and whose compiled bindings it skips).
+  pass prepends (and whose compiled bindings it skips).  With a
+  :class:`TransformedPrefix` the per-binding passes also splice in the
+  prelude as they would leave it and walk only the bindings after it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.classes import ClassEnv
 from repro.core.infer import (
@@ -33,6 +35,7 @@ from repro.core.static import StaticEnv
 from repro.coreir.syntax import CoreBinding, CoreProgram
 from repro.options import CompilerOptions
 from repro.prelude import primitive_schemes
+from repro.util.names import NameSupply
 
 
 @dataclass
@@ -156,9 +159,38 @@ class SourceUnit:
     program: Optional[Any] = None
 
 
+@dataclass(frozen=True)
+class TransformedPrefix:
+    """A core prefix as the per-binding passes leave it.
+
+    A per-binding pass (:attr:`repro.pipeline.manager.Pass.per_binding`)
+    rewrites each top-level binding on its own, so its output for the
+    leading bindings of a program does not depend on the bindings after
+    them.  A prelude snapshot records the prelude's input and output of
+    each such pass once; every compile on the snapshot whose core
+    starts with that very input splices the output in, and the pass
+    walks only the bindings that follow.
+    """
+
+    #: pass name -> the prefix's bindings as that pass receives them
+    before: Mapping[str, Tuple[CoreBinding, ...]]
+    #: pass name -> the prefix's bindings as that pass leaves them
+    after: Mapping[str, Tuple[CoreBinding, ...]]
+    #: :attr:`CompileContext.names` after the passes ran over the prefix
+    names: Mapping[str, int]
+
+
 @dataclass
 class CompileContext:
-    """Everything a pass may read or write."""
+    """Everything a pass may read or write.
+
+    A forked context (:meth:`forked`) holds only the user program's
+    source units; the prelude arrives already compiled — its translated
+    core as :attr:`prefix_core`, and its core after each per-binding
+    pass as :attr:`transformed` — so a warm compile walks the user's
+    bindings, not the prelude's, in every pass but the whole-program
+    ones.
+    """
 
     options: CompilerOptions
     units: List[SourceUnit]
@@ -174,6 +206,12 @@ class CompileContext:
     #: how many entries of ``compiled`` the prefix covers (skipped by
     #: the translate pass)
     n_prefix_bindings: int = 0
+    #: the leading core bindings already run through the per-binding
+    #: passes; None means every pass walks the whole program
+    transformed: Optional[TransformedPrefix] = None
+    #: fresh names the core transforms generate (hoisting's ``hd$N``);
+    #: a compile with a transformed prefix numbers on from its counters
+    names: NameSupply = field(default_factory=NameSupply)
     trace: PhaseTrace = field(default_factory=PhaseTrace)
     result: Optional[InferResult] = None
     #: extra operator fixities handed to the parser — the module build
@@ -223,14 +261,35 @@ class CompileContext:
                sources: Sequence[Tuple[str, str]],
                static_env: StaticEnv, inferencer: Inferencer,
                prefix_core: Tuple[CoreBinding, ...] = (),
-               n_prefix_bindings: int = 0) -> "CompileContext":
+               n_prefix_bindings: int = 0,
+               transformed: Optional[TransformedPrefix] = None
+               ) -> "CompileContext":
         """A warm compilation on a prelude-snapshot fork."""
         units = [SourceUnit(text, filename) for text, filename in sources]
+        names = NameSupply(transformed.names if transformed else None)
         return cls(options, units, static_env, inferencer,
                    prefix_core=tuple(prefix_core),
-                   n_prefix_bindings=n_prefix_bindings)
+                   n_prefix_bindings=n_prefix_bindings,
+                   transformed=transformed, names=names)
 
     # --------------------------------------------------------------- views
+
+    def done(self, pass_name: str) -> Tuple[CoreBinding, ...]:
+        """The leading core bindings as per-binding pass *pass_name*
+        leaves them, ready to splice in — provided the core starts with
+        the very bindings they were computed from (a compile whose
+        options enable a different chain of per-binding passes than the
+        snapshot's does not).  Empty when the pass must walk the whole
+        program."""
+        if self.transformed is None or \
+                pass_name not in self.transformed.after:
+            return ()
+        before = self.transformed.before[pass_name]
+        bindings = self.core.bindings
+        if len(bindings) < len(before) or any(
+                a is not b for a, b in zip(before, bindings)):
+            return ()
+        return self.transformed.after[pass_name]
 
     def con_arity(self) -> Dict[str, int]:
         return {name: info.arity

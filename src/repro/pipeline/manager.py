@@ -80,11 +80,19 @@ class Pass:
     linker armed it with module origins).  Passes failing either gate
     are skipped entirely and never appear in the trace.  ``doc`` names
     the paper section the pass realises, for ``--time-passes`` readers.
+
+    ``per_binding`` marks a whole-program pass that rewrites each
+    top-level binding on its own, so the prelude's share of its output
+    is the same for every program: a prelude snapshot computes that
+    share once (:meth:`repro.service.snapshot.PreludeSnapshot.
+    transformed`) and the pass splices it in through
+    :meth:`CompileContext.done`.
     """
 
     name: str
     run: Callable[..., None]
     per_unit: bool = False
+    per_binding: bool = False
     enabled: Callable[[CompilerOptions], bool] = field(default=_always)
     applies: Callable[[CompileContext], bool] = field(default=_any_context)
     doc: str = ""

@@ -92,12 +92,14 @@ def _selectors(ctx: CompileContext) -> None:
 
 def _hoist_dictionaries(ctx: CompileContext) -> None:
     from repro.transform.float_dicts import hoist_dictionaries
-    ctx.core = hoist_dictionaries(ctx.core)
+    ctx.core = hoist_dictionaries(ctx.core, ctx.done("hoist-dictionaries"),
+                                  ctx.names)
 
 
 def _inner_entry_points(ctx: CompileContext) -> None:
     from repro.transform.entrypoints import add_inner_entry_points
-    ctx.core = add_inner_entry_points(ctx.core)
+    ctx.core = add_inner_entry_points(ctx.core,
+                                      ctx.done("inner-entry-points"))
 
 
 def _constant_dict_reduction(ctx: CompileContext) -> None:
@@ -162,10 +164,10 @@ DEFAULT_PASSES = (
          doc="kernel to core IR (match compilation)"),
     Pass("selectors", _selectors,
          doc="§4 dictionary selector generation"),
-    Pass("hoist-dictionaries", _hoist_dictionaries,
+    Pass("hoist-dictionaries", _hoist_dictionaries, per_binding=True,
          enabled=lambda o: o.hoist_dictionaries,
          doc="§8.8 float dictionary construction out of lambdas"),
-    Pass("inner-entry-points", _inner_entry_points,
+    Pass("inner-entry-points", _inner_entry_points, per_binding=True,
          enabled=lambda o: o.inner_entry_points,
          doc="§6.3/§7 skip re-passing dictionaries to recursive calls"),
     Pass("constant-dict-reduction", _constant_dict_reduction,

@@ -10,7 +10,10 @@ the result:
 * the inferencer state after ``infer_program(<prelude>)`` — the global
   :class:`~repro.core.infer.TypeEnv`, the scheme table, the compiled
   (dictionary-converted) prelude bindings;
-* the translated (but *unoptimised*, selector-free) prelude core.
+* the translated (but *unoptimised*, selector-free) prelude core;
+* built on first use (:meth:`PreludeSnapshot.transformed`), the
+  prelude core after each per-binding pass (dictionary hoisting, inner
+  entry points) and the hoister's ``hd$`` count after it.
 
 A snapshot is immutable.  :meth:`PreludeSnapshot.fork` produces a
 cheap, independent copy of the *mutable containers* (dictionaries and
@@ -23,16 +26,23 @@ where re-compiling the prelude costs hundreds of milliseconds.
 user program only, stacked on a fork.  Both the prelude build and the
 per-fork user compile are :class:`~repro.pipeline.PassManager` runs —
 the same registered sequence the cold driver executes, with the
-prelude prefix skipped (the build stops after ``translate``; the fork
-carries the frozen prelude core as the translate pass's prefix).  The
-binding order, schemes and optimised core are identical to a cold
-compile: selectors are regenerated for *all* classes after the user
-program (exactly where the one-shot path emits them) and the
-optimisation passes run over the full concatenated core.  Determinism
-of the result is what makes the compile cache sound — the paper's §8.6
-interface ordering fixes dictionary parameter order, and instance
-resolution is coherent (Bottu et al.), so equal inputs give equal
-elaborations.
+prelude prefix skipped: the build stops after ``translate``, the fork
+carries the frozen prelude core as the translate pass's prefix, and the
+per-binding passes splice in the transformed prelude and walk only the
+bindings after it.  Selectors are regenerated for *all* classes after
+the user program (exactly where the one-shot path emits them), and the
+whole-program passes (constant-dictionary reduction, specialisation)
+run over the full concatenated core.
+
+What a warm compile shares with a cold one: binding order, schemes,
+warnings, :class:`~repro.driver.CompileStats` counters, values, and the
+prelude's and the selectors' core after every pass.  User bindings are
+identical up to the numbers of translator-local binders, which each
+unit numbers afresh (``m$1`` warm where cold says ``m$202``).
+Determinism of the result is what makes the compile cache sound — the
+paper's §8.6 interface ordering fixes dictionary parameter order, and
+instance resolution is coherent (Bottu et al.), so equal inputs give
+equal elaborations.
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ from repro.options import CompilerOptions, options_fingerprint
 from repro.pipeline import (
     TRANSLATE,
     CompileContext,
+    TransformedPrefix,
     default_pass_manager,
 )
 from repro.prelude import PRELUDE_SOURCE
@@ -126,6 +137,8 @@ class PreludeSnapshot:
         self._solver_counts = (
             (solver.firings, solver.simplifications, solver.store_peak)
             if getattr(solver, "name", "") == "chr" else None)
+        self._transformed: Optional[TransformedPrefix] = None
+        self._transform_lock = threading.Lock()
 
     # ----------------------------------------------------------- building
 
@@ -133,15 +146,56 @@ class PreludeSnapshot:
     def build(cls, options: Optional[CompilerOptions] = None,
               prelude_source: str = PRELUDE_SOURCE) -> "PreludeSnapshot":
         """Compile *prelude_source* through the shared pipeline's
-        front-end prefix (parse .. infer .. translate; no selectors, no
-        optimisation — those run per fork over the full program) and
-        freeze the result."""
+        front-end prefix (parse .. infer .. translate) and freeze the
+        result.  Selectors and the core transforms run per compile over
+        the full program; the prelude's share of the per-binding ones
+        is computed on first use by :meth:`transformed`."""
         options = options if options is not None else CompilerOptions()
         ctx = CompileContext.fresh(options, [(prelude_source, "<prelude>")])
         default_pass_manager().run(ctx, stop_after=TRANSLATE)
         return cls(options, ctx.static_env, ctx.inferencer,
                    tuple(ctx.core.bindings),
                    prelude_fingerprint(options, prelude_source))
+
+    def transformed(self) -> TransformedPrefix:
+        """The prelude core after each enabled per-binding pass, plus
+        the transforms' name counters after it — built on first use.
+
+        Only compiles that run the core transforms need it (module
+        compiles and checks stop at ``translate``), so building it
+        lazily keeps it out of every process that never optimises.
+        The lock makes concurrent first uses build it once.
+        """
+        with self._transform_lock:
+            if self._transformed is None:
+                self._transformed = self._transform_prelude()
+            return self._transformed
+
+    def _transform_prelude(self) -> TransformedPrefix:
+        # A compile of no user program: the registry's passes run over
+        # the prelude and its selectors, up to the last per-binding
+        # pass, and the observer keeps the prelude's share of the core
+        # before and after each per-binding one.
+        static_env, inferencer = self.fork()
+        ctx = CompileContext.forked(self.options, [], static_env, inferencer,
+                                    prefix_core=self.core_bindings,
+                                    n_prefix_bindings=self.n_bindings)
+        manager = default_pass_manager()
+        per_binding = [p.name for p in manager.passes if p.per_binding]
+        n = len(self.core_bindings)
+        before: Dict[str, Tuple[CoreBinding, ...]] = {}
+        after: Dict[str, Tuple[CoreBinding, ...]] = {}
+        previous = self.core_bindings
+
+        def keep(pass_name: str, ctx: CompileContext) -> None:
+            nonlocal previous
+            current = tuple(ctx.core.bindings[:n])
+            if pass_name in per_binding:
+                before[pass_name], after[pass_name] = previous, current
+            previous = current
+
+        manager.run(ctx, stop_after=per_binding[-1], observer=keep)
+        return TransformedPrefix(before, after, ctx.names.counters())
 
     # ------------------------------------------------------------ forking
 
@@ -188,12 +242,14 @@ def compile_with_snapshot(source: str, snapshot: PreludeSnapshot,
 
     Runs the same pass sequence as a cold compile, with the prelude
     prefix skipped: the forked environments stand in for the prelude's
-    front-end passes, and the frozen prelude core rides in as the
-    translate pass's prefix, so selectors and the §8/§9 transforms see
-    the full concatenated program.  Produces a
+    front-end passes, the frozen prelude core rides in as the translate
+    pass's prefix, and the per-binding passes splice in the snapshot's
+    transformed prelude.  Selectors and the whole-program transforms
+    see the full concatenated program.  Produces a
     :class:`repro.driver.CompiledProgram` with the same schemes,
-    warnings, binding order and optimised core as a cold
-    ``compile_source(source, options)``.
+    warnings, binding order, stats counters and prelude core as a cold
+    ``compile_source(source, options)``; its user bindings differ only
+    in the numbers of translator-local binders.
     """
     from repro.driver import program_from_context
 
@@ -207,7 +263,8 @@ def compile_with_snapshot(source: str, snapshot: PreludeSnapshot,
     ctx = CompileContext.forked(options, [(source, filename)],
                                 static_env, inferencer,
                                 prefix_core=snapshot.core_bindings,
-                                n_prefix_bindings=snapshot.n_bindings)
+                                n_prefix_bindings=snapshot.n_bindings,
+                                transformed=snapshot.transformed())
     default_pass_manager().run(ctx, observer=observer)
     return program_from_context(ctx)
 

@@ -22,7 +22,7 @@ polymorphic recursion through a signature) are left untouched.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from repro.coreir.fv import free_vars
 from repro.coreir.syntax import (
@@ -38,11 +38,13 @@ from repro.coreir.syntax import (
 )
 
 
-def add_inner_entry_points(program: CoreProgram) -> CoreProgram:
-    out: List[CoreBinding] = []
-    for b in program.bindings:
-        out.append(_transform_binding(b) or b)
-    return CoreProgram(out)
+def add_inner_entry_points(program: CoreProgram,
+                           done: Sequence[CoreBinding] = ()) -> CoreProgram:
+    """Give every eligible binding of *program* an inner entry point.
+    Each binding is rewritten on its own, so *done*, the transformed
+    form of the first ``len(done)`` bindings, is spliced in as it is."""
+    return CoreProgram(list(done) + [_transform_binding(b) or b for b in
+                                     program.bindings[len(done):]])
 
 
 def _transform_binding(b: CoreBinding) -> Optional[CoreBinding]:

@@ -19,7 +19,7 @@ the full-laziness transformation the paper cites.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.coreir.fv import free_vars
 from repro.coreir.syntax import (
@@ -52,10 +52,10 @@ class _Frame:
 
 class _Hoister:
     def __init__(self, dict_constructors: Set[str],
-                 selectors: Set[str]) -> None:
+                 selectors: Set[str], names: NameSupply) -> None:
         self.dict_constructors = dict_constructors
         self.selectors = selectors
-        self.names = NameSupply()
+        self.names = names
         self.frames: List[_Frame] = []
         self.top_floats: List[Tuple[str, CoreExpr]] = []
 
@@ -189,12 +189,26 @@ class _Hoister:
         return map_subexprs(expr, self.expr)
 
 
-def hoist_dictionaries(program: CoreProgram) -> CoreProgram:
-    """Apply dictionary hoisting to every binding of *program*."""
+def hoist_dictionaries(program: CoreProgram,
+                       done: Sequence[CoreBinding] = (),
+                       names: Optional[NameSupply] = None) -> CoreProgram:
+    """Apply dictionary hoisting to every binding of *program*.
+
+    *done* is the hoisted form of the program's first ``len(done)``
+    bindings: it is spliced in as it is and only the bindings after it
+    are walked, with floats named by *names* (default: a fresh supply),
+    which must then count on from where hoisting *done* left it.  That
+    is sound because hoisting one binding reads only the sets of
+    dictionary-constructor and selector names, and bindings after
+    *done* can add only names *done* never mentions (generated names
+    are unique: a class, an instance or a method is declared once).
+    """
     dict_constructors = {b.name for b in program.bindings
                          if b.kind == "dict"}
     selectors = {b.name for b in program.bindings if b.kind == "selector"}
     if not dict_constructors and not selectors:
         return program
-    hoister = _Hoister(dict_constructors, selectors)
-    return CoreProgram([hoister.binding(b) for b in program.bindings])
+    hoister = _Hoister(dict_constructors, selectors,
+                       names if names is not None else NameSupply())
+    return CoreProgram(list(done) + [hoister.binding(b) for b in
+                                     program.bindings[len(done):]])

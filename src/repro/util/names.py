@@ -10,7 +10,7 @@ generated namespace disjoint from the user namespace by construction.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Mapping, Optional
 
 
 class NameSupply:
@@ -18,11 +18,16 @@ class NameSupply:
 
     Each prefix has its own counter so that the names stay short and
     readable in dumped core (``d$1``, ``d$2`` rather than a single global
-    counter interleaving every kind of name).
+    counter interleaving every kind of name).  *counters* resumes a
+    supply where :meth:`counters` of another left off.
     """
 
-    def __init__(self) -> None:
-        self._counters: Dict[str, int] = {}
+    def __init__(self, counters: Optional[Mapping[str, int]] = None) -> None:
+        self._counters: Dict[str, int] = dict(counters or {})
+
+    def counters(self) -> Dict[str, int]:
+        """A copy of every prefix's count so far."""
+        return dict(self._counters)
 
     def fresh(self, prefix: str) -> str:
         """Return a fresh name ``<prefix>$<n>``."""

@@ -492,6 +492,26 @@ class TestIncremental:
         c = module_cache_key("src", opts, fp, [("A", "f1")])
         assert a != b and a == c
 
+    def test_cache_key_bytes_pinned(self):
+        # Disk caches and the server's build keys outlive a process:
+        # the key bytes must not drift.
+        opts = CompilerOptions(solver="reduce", lint=False)
+        assert module_cache_key(
+            "module A where\nx = 1\n", opts, "p" * 64,
+            [("B", "f" * 64), ("A", "0" * 64)]) \
+            == "e04ae8479aff9da8d873f914a6b4bc93ae35497ce81978559c46f7fa858e1744"
+
+    def test_builder_keys_are_module_cache_keys(self):
+        builder = ModuleBuilder()
+        graph = tree()
+        built = builder.build(graph)
+        fp = builder.snapshot.fingerprint
+        expected = {module_cache_key(
+            graph.modules[name].source, builder.options, fp,
+            [(dep, built.modules[dep]["fingerprint"])
+             for dep in graph.closure(name)]) for name in graph.order}
+        assert expected <= set(builder.cache._entries)
+
     def test_artifacts_survive_disk_cache(self, tmp_path):
         opts = CompilerOptions()
         opts.cache_dir = str(tmp_path)
