@@ -427,7 +427,9 @@ def compile_source(source: str,
     When *snapshot* (a :class:`repro.service.snapshot.PreludeSnapshot`)
     is given, the prelude is not re-compiled: the user program is built
     on a cheap fork of the snapshot's compiled state, producing the same
-    schemes and core as a cold compile at a fraction of the cost.
+    schemes, binding order and prelude core as a cold compile at a
+    fraction of the cost (user bindings differ only in the numbers of
+    translator-local binders).
 
     *observer* — ``callable(pass_name, ctx)`` — fires after every
     pipeline pass (the CLI's ``--dump-after`` uses it).
