@@ -9,14 +9,9 @@ for an abstraction this pervasive cost, and does specialisation
 Workload: a validation pipeline written against ``Monad m`` — bind
 chains, ``fmap`` post-processing, ``mapM`` over a list — instantiated
 at ``Maybe`` and at ``[]``, plus a derived-Functor tree map.  Measured
-three ways:
-
-* **generic** (dictionary passing) vs **specialised** (link-time
-  clones): evaluator dictionary constructions and method selections —
-  the specialised path must eliminate the dispatch;
-* **reduce vs chr**: both solver backends over the same source must
-  agree on the value and the inferred schemes (the higher-kinded
-  goals ``Monad m``/``Functor f`` reduce at kind ``* -> *``).
+**generic** (dictionary passing) vs **specialised** (link-time clones):
+evaluator dictionary constructions and method selections — the
+specialised path must eliminate the dispatch.
 
 Run under pytest for the shape assertions, or as a script to
 (re)write ``BENCH_s7.json`` at the repository root::
@@ -27,7 +22,6 @@ Run under pytest for the shape assertions, or as a script to
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -35,7 +29,6 @@ import time
 from typing import Dict, List
 
 from benchmarks.conftest import compiled, record
-from repro import CompilerOptions, compile_source
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -70,9 +63,6 @@ main =
   in (viaMaybe, viaList, mapped)
 """
 
-SOLVERS = ("reduce", "chr")
-
-
 def measure(rounds: int = ROUNDS) -> Dict[str, object]:
     out: Dict[str, object] = {"rounds": rounds,
                               "workload": "monadic pipeline at Maybe/[], "
@@ -93,19 +83,6 @@ def measure(rounds: int = ROUNDS) -> Dict[str, object]:
             "dict_selections": stats.dict_selections,
             "steps": stats.steps,
         }
-    # -- solver agreement ------------------------------------------------
-    solver_rows: Dict[str, object] = {}
-    for solver in SOLVERS:
-        program = compile_source(SRC, CompilerOptions(solver=solver))
-        schemes = "\n".join(f"{n} :: {s}" for n, s
-                            in sorted(program.schemes.items()))
-        solver_rows[solver] = {
-            "value": program.run("main"),
-            "schemes_sha": hashlib.sha256(
-                schemes.encode("utf-8")).hexdigest(),
-            "pipeline_scheme": str(program.schemes["pipeline"]),
-        }
-    out["solvers"] = solver_rows
     return out
 
 
@@ -127,13 +104,6 @@ def check_shape(m: Dict[str, object]) -> List[str]:
             f"specialisation did not reduce dispatch: "
             f"{spec['dict_selections']} vs {gen['dict_selections']} "
             f"selections")
-    red, chrr = m["solvers"]["reduce"], m["solvers"]["chr"]
-    if red["value"] != chrr["value"]:
-        failures.append(
-            f"solvers disagree on the value: {red['value']!r} vs "
-            f"{chrr['value']!r}")
-    if red["schemes_sha"] != chrr["schemes_sha"]:
-        failures.append("solvers disagree on the inferred schemes")
     return failures
 
 

@@ -27,13 +27,10 @@ from repro.options import CompilerOptions
 
 
 def build_options(settings: List[str],
-                  lint: bool = False,
-                  solver: Optional[str] = None) -> CompilerOptions:
+                  lint: bool = False) -> CompilerOptions:
     options = CompilerOptions()
     if lint:
         options.lint = True
-    if solver:
-        options.solver = solver
     for setting in settings:
         if "=" not in setting:
             raise SystemExit(f"--set expects name=value, got {setting!r}")
@@ -125,8 +122,7 @@ def dump_after_observer(target: str):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    options = build_options(args.set or [], lint=getattr(args, "lint", False),
-                            solver=getattr(args, "solver", None))
+    options = build_options(args.set or [], lint=getattr(args, "lint", False))
     observer = dump_after_observer(args.dump_after) \
         if args.dump_after else None
     program, source = load(args.file, options, observer=observer,
@@ -157,8 +153,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    options = build_options(args.set or [], lint=getattr(args, "lint", False),
-                            solver=getattr(args, "solver", None))
+    options = build_options(args.set or [], lint=getattr(args, "lint", False))
     import os
     module_mode = len(args.files) > 1 or args.out or args.stats_json \
         or any(os.path.isdir(path) for path in args.files)
@@ -209,8 +204,7 @@ def _check_modules(args: argparse.Namespace,
 
 
 def cmd_core(args: argparse.Namespace) -> int:
-    options = build_options(args.set or [], lint=getattr(args, "lint", False),
-                            solver=getattr(args, "solver", None))
+    options = build_options(args.set or [], lint=getattr(args, "lint", False))
     program = load(args.file, options)
     names = args.names or None
     print(program.dump_core(names))
@@ -218,8 +212,7 @@ def cmd_core(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    options = build_options(args.set or [], lint=getattr(args, "lint", False),
-                            solver=getattr(args, "solver", None))
+    options = build_options(args.set or [], lint=getattr(args, "lint", False))
     if not args.kinds and not args.names:
         raise SystemExit("repro info: give one or more names, --kinds, "
                          "or both")
@@ -240,8 +233,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_repl(args: argparse.Namespace) -> int:
-    options = build_options(args.set or [], lint=getattr(args, "lint", False),
-                            solver=getattr(args, "solver", None))
+    options = build_options(args.set or [], lint=getattr(args, "lint", False))
     preamble = ""
     if args.file:
         with open(args.file, "r", encoding="utf-8") as handle:
@@ -280,8 +272,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
 def cmd_build(args: argparse.Namespace) -> int:
     """Build a module tree: separate compilation, caching, linking."""
     from repro.modules import build_modules
-    options = build_options(args.set or [], lint=getattr(args, "lint", False),
-                            solver=getattr(args, "solver", None))
+    options = build_options(args.set or [], lint=getattr(args, "lint", False))
     pool = None
     shards = getattr(args, "distributed", 0) or 0
     if shards > 0:
@@ -363,8 +354,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from repro.service.server import CompileServer
-    options = build_options(args.set or [], lint=getattr(args, "lint", False),
-                            solver=getattr(args, "solver", None))
+    options = build_options(args.set or [], lint=getattr(args, "lint", False))
     if args.host:
         options.server_host = args.host
     if args.port is not None:
@@ -408,8 +398,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_batch(args: argparse.Namespace) -> int:
     """Compile many programs through one shared snapshot + cache."""
     from repro.service.server import CompileService
-    options = build_options(args.set or [], lint=getattr(args, "lint", False),
-                            solver=getattr(args, "solver", None))
+    options = build_options(args.set or [], lint=getattr(args, "lint", False))
     service = CompileService(options)
     failures = 0
     for _ in range(max(1, args.repeat)):
@@ -466,11 +455,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="run the core lint after every pass "
                             "(equivalent to --set lint=true or "
                             "REPRO_LINT=1)")
-        p.add_argument("--solver", choices=("reduce", "chr"),
-                       help="constraint solver backend: 'reduce' (the "
-                            "paper's context reduction) or 'chr' (the CHR "
-                            "engine; required for multi-parameter classes). "
-                            "Equivalent to --set solver=... or REPRO_SOLVER")
 
     p_run = sub.add_parser("run", help="compile and run a program")
     p_run.add_argument("file")

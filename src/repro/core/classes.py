@@ -30,7 +30,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import (
     DuplicateInstanceError,
-    MultiParamError,
     NoInstanceError,
     SourcePos,
     StaticError,
@@ -70,8 +69,8 @@ class ClassInfo:
     tyvar_kind: Kind = STAR
     methods: List[MethodInfo] = field(default_factory=list)
     pos: Optional[SourcePos] = None
-    #: number of class parameters; > 1 only for multi-parameter classes,
-    #: which require the CHR solver (docs/SOLVER.md)
+    #: number of class parameters; > 1 only for multi-parameter classes
+    #: (docs/SOLVER.md)
     arity: int = 1
 
     def method(self, name: str) -> Optional[MethodInfo]:
@@ -165,6 +164,30 @@ class MPInstanceInfo:
     def n_dict_params(self) -> int:
         return len(self.context)
 
+    def head_str(self) -> str:
+        """The head's parameter patterns, head variables named ``a0``,
+        ``a1``, ...: ``Int ([] a0)``."""
+        parts = []
+        for tycon, var_idxs in self.patterns:
+            args = [f"a{i}" for i in var_idxs]
+            if tycon is None:
+                parts.append(args[0])
+            elif not args:
+                parts.append(tycon)
+            else:
+                parts.append("(" + " ".join([tycon] + args) + ")")
+        return " ".join(parts)
+
+    def context_strs(self) -> List[str]:
+        """One rendered constraint per dictionary parameter, in
+        :meth:`head_str`'s variable names."""
+        out = []
+        for shape, cls, var_idxs in self.context:
+            if shape == "sp":
+                var_idxs = (var_idxs,)
+            out.append(" ".join([cls] + [f"a{i}" for i in var_idxs]))
+        return out
+
 
 #: Dictionary layout selector for :class:`ClassEnv`.
 NESTED = "nested"
@@ -174,15 +197,12 @@ FLAT = "flat"
 class ClassEnv:
     """All classes and instances of a program, plus layout decisions."""
 
-    def __init__(self, layout: str = NESTED, single_slot_opt: bool = True,
-                 solver: str = "reduce") -> None:
+    def __init__(self, layout: str = NESTED,
+                 single_slot_opt: bool = True) -> None:
         if layout not in (NESTED, FLAT):
             raise ValueError(f"unknown dictionary layout {layout!r}")
         self.layout = layout
         self.single_slot_opt = single_slot_opt
-        #: which constraint solver the compilation uses; multi-parameter
-        #: classes are only accepted under "chr" (docs/SOLVER.md)
-        self.solver = solver
         self.classes: Dict[str, ClassInfo] = {}
         self.instances: Dict[Tuple[str, str], InstanceInfo] = {}
         #: instances of multi-parameter classes, by class name — kept
@@ -202,12 +222,6 @@ class ClassEnv:
     def add_class(self, info: ClassInfo) -> None:
         if info.name in self.classes:
             raise StaticError(f"class {info.name} declared twice", info.pos)
-        if info.arity > 1 and self.solver != "chr":
-            raise MultiParamError(
-                f"class {info.name} has {info.arity} parameters, but the "
-                f"'{self.solver}' solver only resolves single-parameter "
-                f"classes; compile with --set solver=chr (or "
-                f"REPRO_SOLVER=chr)", info.pos)
         for sup in info.superclasses:
             if sup not in self.classes:
                 raise StaticError(

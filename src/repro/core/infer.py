@@ -89,7 +89,6 @@ from repro.core.types import (
 )
 from repro.core.unify import Unifier
 from repro.lang import ast
-from repro.solver import make_solver
 from repro.solver.rules import match_mp_instance
 from repro.util.graph import Digraph, strongly_connected_components
 from repro.util.names import (
@@ -213,11 +212,14 @@ class Inferencer:
         self.static = static_env
         self.class_env: ClassEnv = static_env.class_env
         self.options = options if options is not None else CompilerOptions()
+        solver = getattr(self.options, "solver", "reduce")
+        if solver != "reduce":
+            raise ValueError(
+                f"unknown solver {solver!r} (the only solver is 'reduce')")
         self.unifier = Unifier(
             self.class_env,
             max_depth=getattr(self.options, "max_type_depth", 10_000),
             provenance=getattr(self.options, "constraint_provenance", True),
-            solver=make_solver(getattr(self.options, "solver", "reduce")),
             minimize_cap=getattr(self.options, "provenance_minimize_cap",
                                  300))
         self.names = NameSupply()
@@ -408,13 +410,16 @@ class Inferencer:
                     quantified.append(v)
             scheme = generalize_over(quantified, group_preds, monos[b.name])
             self.env.bind(b.name, SchemeEntry(scheme))
-            self.schemes[b.name] = scheme
-            # Only top-level groups become top-level compiled bindings.
-            # A local group's (dictionary-converted) definitions stay in
-            # their enclosing let — emitting them here too used to leave
-            # dead top-level duplicates, which shadow each other in the
-            # evaluator's globals and trip the core lint.
+            # Only top-level groups become top-level compiled bindings
+            # with a program-wide scheme.  A local group's (dictionary-
+            # converted) definitions stay in their enclosing let —
+            # emitting them here too used to leave dead top-level
+            # duplicates, which shadow each other in the evaluator's
+            # globals and trip the core lint — and its names are not
+            # in scope outside it, so ``schemes`` (and through it a
+            # module's exports) must not list them.
             if top_level:
+                self.schemes[b.name] = scheme
                 self.output.append(CompiledBinding(
                     b.name, b.simple_rhs, scheme, list(dict_params), "user",
                     dict_classes=[cls for (cls, _v) in group_preds]))
@@ -487,7 +492,8 @@ class Inferencer:
         declared context, in declared order, determines the dictionary
         parameters.  *emit* is False for signed bindings in local lets:
         they are checked and dictionary-converted in place but stay in
-        their enclosing let rather than becoming top-level output.
+        their enclosing let rather than becoming top-level output, and
+        get no entry in ``schemes``.
         """
         reason = {"default": "class-default",
                   "impl": "instance-method"}.get(kind, "annotation")
@@ -523,8 +529,8 @@ class Inferencer:
                 pos=bind.pos))
         name = out_name if out_name is not None else bind.name
         self.env.bind(bind.name, SchemeEntry(scheme))
-        self.schemes[name] = scheme
         if emit:
+            self.schemes[name] = scheme
             self.output.append(CompiledBinding(
                 name, bind.simple_rhs, scheme, list(dict_params), kind,
                 dict_classes=[cls for (cls, _v) in sig_preds]))

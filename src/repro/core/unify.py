@@ -21,7 +21,9 @@ plus the refinements of sections 8.1 (superclass compaction when adding
 constraints to a context) and 8.6 (read-only type variables, which may
 be neither instantiated nor given a larger context — violating either
 raises :class:`SignatureError` because the program demands more than the
-user's signature allows).
+user's signature allows).  The recursion of ``propagateClasses`` and
+``propagateClassTycon`` runs as one fuel-bounded loop over an explicit
+goal store, :class:`~repro.solver.ReduceSolver`, in the same order.
 
 The :class:`Unifier` counts unifications and context-reduction steps so
 that experiment E9 ("a minor increase in the cost of unification",
@@ -77,10 +79,10 @@ from repro.core.types import (
     occurs_in,
     prune,
     set_trail,
-    spine,
     type_str,
     undo_trail,
 )
+from repro.solver import ReduceSolver
 
 #: Default for constraint-set minimization: sets larger than this are
 #: not minimized (deletion-based minimization is quadratic in replays);
@@ -119,15 +121,11 @@ class Unifier:
     def __init__(self, class_env: ClassEnv,
                  max_depth: int = DEFAULT_TYPE_DEPTH,
                  provenance: bool = True,
-                 solver=None,
                  minimize_cap: int = DEFAULT_MINIMIZE_CAP) -> None:
         self.class_env = class_env
         self.max_depth = max_depth
-        if solver is None:
-            from repro.solver import ReduceSolver
-            solver = ReduceSolver()
-        #: the ConstraintSolver behind propagate_classes (repro.solver)
-        self.solver = solver
+        #: the context-reduction engine behind propagate_classes
+        self.solver = ReduceSolver()
         #: minimization budget (Options.provenance_minimize_cap)
         self.minimize_cap = minimize_cap
         #: how often a type error's constraint set exceeded the cap and
@@ -345,31 +343,16 @@ class Unifier:
 
     def propagate_classes(self, classes: Iterable[str], ty: Type,
                           pos: Optional[SourcePos] = None) -> None:
-        """The paper's ``propagateClasses`` — dispatched to the
-        configured :class:`~repro.solver.ConstraintSolver` (the §5
-        recursive reduce path by default, the CHR engine under
-        ``--set solver=chr``)."""
+        """The paper's ``propagateClasses`` and ``propagateClassTycon``:
+        context reduction by :class:`~repro.solver.ReduceSolver`."""
         if pos is None:
             pos = self._nearest_pos
         self.solver.solve(self, list(classes), ty, pos)
 
-    def reduce_classes(self, classes: Iterable[str], ty: Type,
-                       pos: Optional[SourcePos] = None) -> None:
-        """The recursive §5 reduction body (the "reduce" solver)."""
-        if pos is None:
-            pos = self._nearest_pos
-        ty = prune(ty)
-        if isinstance(ty, TyVar):
-            for cls in classes:
-                self.attach_var_constraint(cls, ty, pos)
-            return
-        for cls in classes:
-            self.propagate_class_tycon(cls, ty, pos)
-
     def attach_var_constraint(self, cls: str, ty: TyVar,
                               pos: Optional[SourcePos]) -> None:
         """Attach one class constraint to an unbound type variable —
-        the shared variable case of both solvers.  Read-only variables
+        context reduction's variable case.  Read-only variables
         (section 8.6) may not grow their context; flexible ones take
         the constraint with superclass compaction, trail-snapshotted so
         a failing episode rolls it back."""
@@ -386,38 +369,6 @@ class Unifier:
         if self._trail is not None:
             self._trail.append(("context", ty.context, tuple(ty.context)))
         self.class_env.add_constraint(ty.context, cls)
-
-    def propagate_class_tycon(self, cls: str, ty: Type,
-                              pos: Optional[SourcePos] = None) -> None:
-        """The paper's ``propagateClassTycon`` — one step of context
-        reduction."""
-        if pos is None:
-            pos = self._nearest_pos
-        self.context_reduction_count += 1
-        head, args = spine(ty)
-        if not isinstance(head, TyCon):
-            # A constraint on an application headed by a type variable
-            # cannot be reduced in this system (no instances over
-            # partially known constructors, as in Haskell 1.2).
-            raise UnificationError(
-                f"cannot reduce context {cls} {type_str(ty)}: the type's "
-                f"head is not a known constructor", pos)
-        contexts = self.class_env.find_instance_context(
-            head.name, cls, type_str(ty), pos)
-        # For a well-kinded goal the spine length always equals the
-        # instance's context-slot count, higher-kinded instances
-        # included: the goal's kind is the class variable's kind, which
-        # pins how far the constructor is applied.  Defensive check
-        # only (an ill-kinded goal could reach here through a stale
-        # interface).
-        if len(contexts) != len(args):
-            raise UnificationError(
-                f"instance {cls} {head.name} expects {len(contexts)} type "
-                f"argument(s) but the constrained type {type_str(ty)} has "
-                f"{len(args)}", pos)
-        for class_set, type_arg in zip(contexts, args):
-            if class_set:
-                self.propagate_classes(class_set, type_arg, pos)
 
     # ------------------------------------------------------- minimization
 

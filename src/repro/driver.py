@@ -346,18 +346,24 @@ class CompiledProgram:
                           if len(cls.superclasses) > 1
                           else f"class {cls.superclasses[0]} a => {name} a")
             else:
-                header = f"class {name} a"
+                # Parameters named as the method schemes name them.
+                params = " ".join("abcdefghijklmnopqrstuvwxyz"[:cls.arity])
+                header = f"class {name} {params}"
             lines.append(header + " where")
             for method in cls.methods:
                 lines.append(f"  {method.name} :: {method.scheme}")
-            for inst in self.class_env.instances_of_class(name):
+            instances = [
+                ([f"{c} a{i}" for i, cs in enumerate(inst.context)
+                  for c in cs], inst.tycon_name)
+                for inst in self.class_env.instances_of_class(name)]
+            instances += [(inst.context_strs(), inst.head_str())
+                          for inst in self.class_env.mp_instances_of(name)]
+            for preds, head in instances:
                 ctx = ""
-                preds = [f"{c} a{i}" for i, cs in enumerate(inst.context)
-                         for c in cs]
                 if preds:
                     ctx = (f"({', '.join(preds)}) => " if len(preds) > 1
                            else f"{preds[0]} => ")
-                lines.append(f"instance {ctx}{name} {inst.tycon_name}")
+                lines.append(f"instance {ctx}{name} {head}")
             return "\n".join(lines)
         if name in self.static_env.data_types:
             info = self.static_env.data_types[name]

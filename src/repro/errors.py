@@ -156,14 +156,6 @@ class DuplicateInstanceError(StaticError):
     code = "static.duplicate-instance"
 
 
-class MultiParamError(StaticError):
-    """A multi-parameter class declaration under a solver that cannot
-    resolve it.  The paper's §5 reduce path is inherently one-parameter;
-    MPTCs require ``--set solver=chr`` (docs/SOLVER.md)."""
-
-    code = "static.multi-param"
-
-
 class SolverOverlapError(StaticError):
     """Two instance simplification rules for the same class overlap:
     some constraint would match both, so CHR resolution loses confluence
@@ -178,8 +170,8 @@ class SolverNonterminatingError(StaticError):
     """An instance simplification rule does not shrink its goal: every
     head position is a bare variable while the context is non-empty, so
     repeated application of the rule can run forever.  Rejected
-    statically so the CHR solver's fuel budget is a backstop, not a
-    semantics."""
+    statically so the context-reduction fuel budget is a backstop, not
+    a semantics."""
 
     code = "solver.nonterminating"
 
@@ -254,6 +246,14 @@ class KindError(ReproError):
     """Raised by kind inference when a type expression is ill-kinded."""
 
     code = "kind"
+
+    def locate(self) -> None:
+        """Name the error's own site in :attr:`positions` — the
+        ``error-site`` entry a type error gets when no constraint
+        explains it.  Callers do this only with constraint provenance
+        on, so ``positions`` stays empty when it is off."""
+        if not self.positions and self.pos is not None:
+            self.positions = [Provenance(self.pos, "error-site")]
 
 
 class TypeCheckError(ReproError):

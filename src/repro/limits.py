@@ -40,8 +40,8 @@ DEFAULT_PARSE_DEPTH = 300
 DEFAULT_TYPE_DEPTH = 10_000
 DEFAULT_TRANSFORM_DEPTH = 2_000
 DEFAULT_EVAL_DEPTH = 200_000
-#: CHR solver fuel: rule firings per solve call (one unit per goal the
-#: engine pops).  Generous — static termination checks make runaway
+#: Context-reduction fuel: goals one ``ReduceSolver.solve`` call may pop
+#: (repro.solver).  Generous — static termination checks make runaway
 #: derivations impossible for accepted programs; the fuel is the
 #: crash-containment backstop, exhausted only by pathological inputs.
 DEFAULT_SOLVER_FUEL = 200_000

@@ -70,26 +70,18 @@ def _lint_default() -> bool:
     return os.environ.get("REPRO_LINT", "") not in ("", "0")
 
 
-def _solver_default() -> str:
-    """Constraint solver defaults to the paper's §5 reduce path;
-    ``REPRO_SOLVER=chr`` in the environment selects the CHR backend for
-    every compilation in the process — that is how CI runs the whole
-    suite under the alternative solver (docs/SOLVER.md)."""
-    return os.environ.get("REPRO_SOLVER", "") or "reduce"
-
-
 @dataclass
 class CompilerOptions:
     # ---- language rules
     monomorphism_restriction: bool = True
     defaulting: bool = True
     overload_literals: bool = True
-    #: constraint solver: "reduce" (the paper's §5 recursive context
-    #: reduction) or "chr" (the CHR engine in repro.solver, required
-    #: for multi-parameter classes).  Part of the options fingerprint —
-    #: the solvers agree on every single-parameter program, but the set
-    #: of *accepted* programs differs, so cached output is keyed on it.
-    solver: str = field(default_factory=_solver_default)
+    #: constraint solver: "reduce" (§5 context reduction, repro.solver)
+    #: is the only accepted value; compilation rejects any other with a
+    #: ValueError.  The field stays so that existing callers that pass
+    #: it keep working, and it keeps its place in the options
+    #: fingerprint, which leaves every cache key unchanged.
+    solver: str = "reduce"
 
     # ---- dictionary representation (section 8.1)
     dict_layout: str = "nested"  # "nested" | "flat"

@@ -66,7 +66,6 @@ class PhaseTrace:
         self.unify_count = 0
         self.context_reductions = 0
         self.constraint_propagations = 0
-        self.solver_name = "reduce"
 
     # ----------------------------------------------------------- recording
 
@@ -95,13 +94,6 @@ class PhaseTrace:
         if capped:
             self._counters.setdefault("infer", {})[
                 "provenance.minimize-capped"] = capped
-        solver = getattr(unifier, "solver", None)
-        self.solver_name = getattr(solver, "name", "reduce")
-        if solver is not None and self.solver_name == "chr":
-            bucket = self._counters.setdefault("infer", {})
-            bucket["solver.firings"] = solver.firings
-            bucket["solver.simplifications"] = solver.simplifications
-            bucket["solver.store-peak"] = solver.store_peak
 
     # ------------------------------------------------------- introspection
 
@@ -246,8 +238,7 @@ class CompileContext:
               sources: Sequence[Tuple[str, str]]) -> "CompileContext":
         """A cold compilation: new environments, primitives bound."""
         class_env = ClassEnv(layout=options.dict_layout,
-                             single_slot_opt=options.single_slot_opt,
-                             solver=options.solver)
+                             single_slot_opt=options.single_slot_opt)
         static_env = StaticEnv(class_env)
         global_env = TypeEnv()
         for name, scheme in primitive_schemes().items():

@@ -46,6 +46,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.errors import KindError
 from repro.limits import ensure_recursion_headroom, recursion_fence
 from repro.options import CompilerOptions
 from repro.pipeline.context import CompileContext, SourceUnit
@@ -183,6 +184,10 @@ class PassManager:
                     p.run(ctx, unit)
                 else:
                     p.run(ctx)
+        except KindError as exc:
+            if ctx.options.constraint_provenance:
+                exc.locate()
+            raise
         finally:
             ctx.trace.record(p.name, time.perf_counter() - t0)
 

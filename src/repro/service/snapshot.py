@@ -81,8 +81,7 @@ def prelude_fingerprint(options: Optional[CompilerOptions] = None,
 
 
 def _fork_class_env(src: ClassEnv) -> ClassEnv:
-    out = ClassEnv(layout=src.layout, single_slot_opt=src.single_slot_opt,
-                   solver=src.solver)
+    out = ClassEnv(layout=src.layout, single_slot_opt=src.single_slot_opt)
     out.classes = dict(src.classes)
     out.instances = dict(src.instances)
     out.mp_instances = {cls: list(infos)
@@ -133,10 +132,6 @@ class PreludeSnapshot:
         u = inferencer.unifier
         self._unifier_counts = (u.unify_count, u.context_reduction_count,
                                 u.constraint_propagations)
-        solver = getattr(u, "solver", None)
-        self._solver_counts = (
-            (solver.firings, solver.simplifications, solver.store_peak)
-            if getattr(solver, "name", "") == "chr" else None)
         self._transformed: Optional[TransformedPrefix] = None
         self._transform_lock = threading.Lock()
 
@@ -225,10 +220,6 @@ class PreludeSnapshot:
         (inferencer.unifier.unify_count,
          inferencer.unifier.context_reduction_count,
          inferencer.unifier.constraint_propagations) = self._unifier_counts
-        if self._solver_counts is not None:
-            solver = inferencer.unifier.solver
-            (solver.firings, solver.simplifications,
-             solver.store_peak) = self._solver_counts
         return static_env, inferencer
 
 

@@ -1,22 +1,13 @@
-"""Compiling the class environment into CHR rules, and the static
-checks that keep the rule set well-behaved.
+"""Multi-parameter instance matching, and the static checks that keep
+the instance rules well-behaved.
 
-Translation scheme (Glynn/Stuckey/Sulzmann)
--------------------------------------------
-
-* ``class (S1, ..., Sk) => C a where ...`` compiles to the propagation
-  rules ``C a ==> S1 a, ..., Sk a``.
-* ``instance (D1 b1, ...) => C (T b1 ... bk)`` compiles to the
-  simplification rule ``C (T b1 ... bk) <=> D1 b1, ...``.
-* a multi-parameter ``instance ctx => C p1 ... pn`` (each ``p`` a bare
-  variable or a depth-1 constructor application) compiles to
-  ``C p1 ... pn <=> ctx``.
-
-:func:`compile_rules` materializes that view of a
-:class:`~repro.core.classes.ClassEnv` — the engine itself
-(:mod:`repro.solver.chr`) fires the rules straight off the environment
-tables, so this explicit form exists for the static checks, docs and
-tests.
+Read as CHR (Glynn/Stuckey/Sulzmann), a multi-parameter
+``instance ctx => C p1 ... pn`` (each ``p`` a bare variable or a
+depth-1 constructor application) is the simplification rule
+``C p1 ... pn <=> ctx``.  Multi-parameter constraints never enter a
+type variable's context, so the context-reduction engine
+(:mod:`repro.solver`) never sees them: placeholder resolution matches
+them structurally with :func:`match_mp_instance`.
 
 Static checks (Bottu et al., *Coherence of Type Class Resolution*)
 ------------------------------------------------------------------
@@ -36,95 +27,11 @@ Static checks (Bottu et al., *Coherence of Type Class Resolution*)
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import SolverNonterminatingError, SolverOverlapError
 from repro.core.classes import ClassEnv, MPInstanceInfo
 from repro.core.types import TyCon, Type, prune, spine
-
-
-# --------------------------------------------------------------------------
-# Materialized rule set (docs / tests / static checks)
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PropagationRule:
-    """``class_name a ==> superclass a`` — from one superclass edge."""
-
-    class_name: str
-    superclass: str
-
-    def __str__(self) -> str:
-        return f"{self.class_name} a ==> {self.superclass} a"
-
-
-@dataclass(frozen=True)
-class SimplificationRule:
-    """``class_name <head> <=> <body>`` — from one instance."""
-
-    class_name: str
-    head: Tuple[str, ...]
-    body: Tuple[str, ...]
-
-    def __str__(self) -> str:
-        head = " ".join(self.head)
-        body = ", ".join(self.body) if self.body else "True"
-        return f"{self.class_name} {head} <=> {body}"
-
-
-@dataclass
-class RuleSet:
-    propagation: List[PropagationRule]
-    simplification: List[SimplificationRule]
-
-    def __str__(self) -> str:
-        lines = [str(r) for r in self.propagation]
-        lines += [str(r) for r in self.simplification]
-        return "\n".join(lines)
-
-
-def _var(i: int) -> str:
-    return f"v{i}"
-
-
-def _mp_pattern_str(pattern: Tuple[Optional[str], Tuple[int, ...]]) -> str:
-    tycon, var_idxs = pattern
-    if tycon is None:
-        return _var(var_idxs[0])
-    if not var_idxs:
-        return tycon
-    return "(" + " ".join([tycon] + [_var(i) for i in var_idxs]) + ")"
-
-
-def _mp_context_str(entry: Tuple) -> str:
-    if entry[0] == "sp":
-        _, cls, var_idx = entry
-        return f"{cls} {_var(var_idx)}"
-    _, cls, var_idxs = entry
-    return " ".join([cls] + [_var(i) for i in var_idxs])
-
-
-def compile_rules(class_env: ClassEnv) -> RuleSet:
-    """The CHR program denoted by *class_env*, in declaration order."""
-    propagation = [PropagationRule(info.name, sup)
-                   for info in class_env.classes.values()
-                   for sup in info.superclasses]
-    simplification: List[SimplificationRule] = []
-    for (tycon, cls), info in class_env.instances.items():
-        arity = len(info.context)
-        args = [_var(i) for i in range(arity)]
-        head = "(" + " ".join([tycon] + args) + ")" if args else tycon
-        body = tuple(f"{c} {_var(i)}"
-                     for i, classes in enumerate(info.context)
-                     for c in classes)
-        simplification.append(SimplificationRule(cls, (head,), body))
-    for cls, infos in class_env.mp_instances.items():
-        for info in infos:
-            head = tuple(_mp_pattern_str(p) for p in info.patterns)
-            body = tuple(_mp_context_str(e) for e in info.context)
-            simplification.append(SimplificationRule(cls, head, body))
-    return RuleSet(propagation, simplification)
 
 
 # --------------------------------------------------------------------------
@@ -181,29 +88,20 @@ def _patterns_overlap(a: MPInstanceInfo, b: MPInstanceInfo) -> bool:
 
 def check_mp_instance(class_env: ClassEnv, info: MPInstanceInfo) -> None:
     """Reject *info* if its simplification rule breaks confluence or
-    termination of the compiled CHR program (run before registration)."""
+    termination of the instance rules (run before registration)."""
     if info.context and all(t is None for t, _ in info.patterns):
-        rendered = " ".join(_mp_pattern_str(p) for p in info.patterns)
         raise SolverNonterminatingError(
-            f"instance {info.class_name} {rendered} does not terminate: "
-            f"every head position is a bare type variable but the "
-            f"instance context is non-empty, so the simplification rule "
-            f"never shrinks its goal", info.pos)
+            f"instance {info.class_name} {info.head_str()} does not "
+            f"terminate: every head position is a bare type variable but "
+            f"the instance context is non-empty, so the simplification "
+            f"rule never shrinks its goal", info.pos)
     for existing in class_env.mp_instances_of(info.class_name):
         if _patterns_overlap(existing, info):
-            rendered = " ".join(_mp_pattern_str(p) for p in info.patterns)
-            prev = " ".join(_mp_pattern_str(p) for p in existing.patterns)
             raise SolverOverlapError(
                 f"overlapping instances for class {info.class_name}: "
-                f"head {rendered} overlaps the earlier instance head "
-                f"{prev}; resolution would not be confluent", info.pos)
+                f"head {info.head_str()} overlaps the earlier instance "
+                f"head {existing.head_str()}; resolution would not be "
+                f"confluent", info.pos)
 
 
-__all__ = [
-    "PropagationRule",
-    "SimplificationRule",
-    "RuleSet",
-    "compile_rules",
-    "match_mp_instance",
-    "check_mp_instance",
-]
+__all__ = ["match_mp_instance", "check_mp_instance"]

@@ -18,13 +18,12 @@ seed fully determines the run:
 
 A slice of outputs comes from three *solver-focused* shapes instead:
 deep superclass towers (propagation rules, memoized ancestor sets),
-multi-parameter class programs (chr-only; the ``--solver-diff``
-oracle's tolerated divergence), and higher-kinded class programs
+multi-parameter class programs (structural instance matching, the
+overlap check), and higher-kinded class programs
 (Functor/Applicative/Monad pipelines, instances at partially applied
 constructors, ``deriving (Functor)``, and deliberate kind errors —
 the ``--positions`` oracle requires every ``kind.*`` diagnostic to be
-located, and ``--solver-diff`` requires both solvers to agree on
-higher-kinded goals).
+located).
 
 The generator never tries to be *semantically* interesting — the point
 is crash containment, not miscompilation hunting — so it favours
@@ -208,11 +207,8 @@ class ProgramGen:
         return "\n".join(lines)
 
     def mptc(self) -> str:
-        """A multi-parameter class program — accepted only under the
-        chr solver; reduce rejects it with ``static.multi-param``, the
-        one divergence the ``--solver-diff`` oracle tolerates.  A
-        fraction of outputs overlaps its instance heads on purpose
-        (``solver.overlap`` under chr)."""
+        """A multi-parameter class program.  A fraction of outputs
+        overlaps its instance heads on purpose (``solver.overlap``)."""
         r = self.rng
         lines = ["class Conv a b where", "  conv :: a -> b",
                  "instance Conv Int Float where",
@@ -248,8 +244,6 @@ class ProgramGen:
         pipeline over the prelude hierarchy; a deliberate kind error
         (whose ``kind.*`` diagnostic must be located for the
         ``--positions`` oracle); and applicative expression soup.
-        Every accepting shape is solver-independent, so these also
-        feed the ``--solver-diff`` oracle higher-kinded goals.
         """
         r = self.rng
         shape = r.randrange(5)

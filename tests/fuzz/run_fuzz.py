@@ -109,67 +109,6 @@ def check_one(source: str, snapshot: PreludeSnapshot,
         return "error", type(exc).code
 
 
-def _full_verdict(source: str, snapshot: PreludeSnapshot,
-                  options: CompilerOptions):
-    """The complete observable outcome of one program under one solver:
-    ``(outcome, code, main_value, {name: scheme_str})``."""
-    outcome, code, result = _compile_verdict(source, snapshot, options)
-    if outcome == "error":
-        return outcome, code, None, None
-    program = result
-    schemes = {name: str(scheme)
-               for name, scheme in program.schemes.items()}
-    value = None
-    if "main" in program.schemes:
-        try:
-            value = program.run("main", step_limit=EVAL_STEP_LIMIT)
-        except CoreLintError:
-            raise  # ill-formed core is a bug, not a rejected input
-        except ReproError as exc:
-            exc.to_json()
-            return "error", type(exc).code, None, schemes
-    return "ok", None, value, schemes
-
-
-def check_solver_diff(source: str, snapshot: PreludeSnapshot,
-                      chr_snapshot: PreludeSnapshot,
-                      options: CompilerOptions,
-                      chr_options: CompilerOptions
-                      ) -> Tuple[str, Optional[str]]:
-    """The differential solver oracle: compile and run one program
-    under both the reduce and chr backends; any observable difference
-    — accept/reject verdict, error code, inferred scheme, evaluated
-    ``main`` value — fails the run.
-
-    The one tolerated divergence: multi-parameter classes exist only
-    under chr, so a reduce verdict of ``static.multi-param`` ends the
-    comparison (the chr side may accept, or reject for its own
-    reasons, e.g. ``solver.overlap``).  Returns the chr side's
-    ``(outcome, code)`` in that case, the shared verdict otherwise.
-    """
-    reduce_v = _full_verdict(source, snapshot, options)
-    chr_v = _full_verdict(source, chr_snapshot, chr_options)
-    if reduce_v[:2] == ("error", "static.multi-param"):
-        return chr_v[0], chr_v[1]
-    if reduce_v[:2] != chr_v[:2]:
-        raise AssertionError(
-            f"solvers disagree on the verdict: reduce={reduce_v[:2]} "
-            f"chr={chr_v[:2]}")
-    if reduce_v[3] != chr_v[3]:
-        diff = {name for name in (set(reduce_v[3] or {})
-                                  | set(chr_v[3] or {}))
-                if (reduce_v[3] or {}).get(name)
-                != (chr_v[3] or {}).get(name)}
-        raise AssertionError(
-            f"solvers disagree on inferred schemes for {sorted(diff)}: "
-            f"reduce={reduce_v[3]} chr={chr_v[3]}")
-    if reduce_v[2] != chr_v[2]:
-        raise AssertionError(
-            f"solvers disagree on the value of main: "
-            f"reduce={reduce_v[2]!r} chr={chr_v[2]!r}")
-    return reduce_v[:2]
-
-
 def check_modules(specs, snapshot: PreludeSnapshot,
                   options: CompilerOptions,
                   positions: bool = False) -> Tuple[str, Optional[str]]:
@@ -227,13 +166,6 @@ def main(argv=None) -> int:
                     help="differential oracle: recompile each single-file "
                          "input with constraint_provenance=false; a changed "
                          "accept/reject verdict fails the run")
-    ap.add_argument("--solver-diff", action="store_true",
-                    help="differential solver oracle: compile and run each "
-                         "single-file input under both the reduce and chr "
-                         "constraint solvers; any verdict, scheme or value "
-                         "mismatch fails the run (a reduce-side "
-                         "static.multi-param rejection is the one tolerated "
-                         "divergence — those programs are chr-only)")
     ap.add_argument("--protocol", action="store_true",
                     help="protocol stage instead of programs: a burst of "
                          "--count seeded request lines (malformed JSON, "
@@ -257,13 +189,6 @@ def main(argv=None) -> int:
     options = CompilerOptions()
     if args.lint:
         options.lint = True
-    chr_snapshot = chr_options = None
-    if args.solver_diff:
-        # The diff is reduce-vs-chr by construction, regardless of any
-        # REPRO_SOLVER override in the environment.
-        options = options.with_(solver="reduce")
-        chr_options = options.with_(solver="chr")
-        chr_snapshot = PreludeSnapshot.build(chr_options)
     snapshot = PreludeSnapshot.build(options)
     gen = ProgramGen(args.seed)
 
@@ -282,13 +207,9 @@ def main(argv=None) -> int:
     started = time.monotonic()
     for label, source in inputs:
         try:
-            if args.solver_diff:
-                outcome, code = check_solver_diff(
-                    source, snapshot, chr_snapshot, options, chr_options)
-            else:
-                outcome, code = check_one(
-                    source, snapshot, options, positions=args.positions,
-                    provenance_diff=args.provenance_diff)
+            outcome, code = check_one(
+                source, snapshot, options, positions=args.positions,
+                provenance_diff=args.provenance_diff)
         except BaseException as exc:  # noqa: BLE001 — the invariant itself
             print(f"FUZZ INVARIANT VIOLATED at {label}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)

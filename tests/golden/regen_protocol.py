@@ -92,12 +92,12 @@ _VOLATILE = {"ms", "pid", "uptime_s"}
 
 
 def options(shards: int = 0):
-    """The server configuration the golden is recorded under.  The
-    solver and lint are pinned so that REPRO_SOLVER / REPRO_LINT in the
-    environment do not move program handles or phase listings; the
-    step ceiling is set so the script can exceed it."""
+    """The server configuration the golden is recorded under.  Lint is
+    pinned so that REPRO_LINT in the environment does not move program
+    handles or phase listings; the step ceiling is set so the script
+    can exceed it."""
     from repro.options import CompilerOptions
-    return CompilerOptions(solver="reduce", lint=False, cache_dir="",
+    return CompilerOptions(lint=False, cache_dir="",
                            eval_step_limit=1_000_000, request_timeout=30.0,
                            server_shards=shards)
 

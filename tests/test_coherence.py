@@ -3,10 +3,9 @@ Resolution"): programs whose constraint derivations admit more than
 one proof path.  Coherence means every path elaborates to the same
 dictionary, so the observable behaviour is independent of
 
-* the solver backend (the paper's recursive context reduction vs the
-  CHR engine) — pinned by running every program under both;
-* the order rules happen to fire in — pinned by comparing inferred
-  schemes, not just values;
+* the order rules happen to fire in — pinned by checking inferred
+  schemes (as both former solver backends inferred them), not just
+  values;
 * module link order — pinned by building the same program from
   permuted module lists and comparing results and interface
   fingerprints.
@@ -24,17 +23,9 @@ import itertools
 
 import pytest
 
-from repro import CompilerOptions, compile_source
+from repro import compile_source
 from repro.modules import ModuleBuilder
 from repro.modules.resolve import scan_inline_modules
-
-SOLVERS = ("reduce", "chr")
-
-
-def compile_both(source: str):
-    return {solver: compile_source(source, CompilerOptions(solver=solver))
-            for solver in SOLVERS}
-
 
 #: (name, declarations, expression, expected value)
 CORPUS = [
@@ -73,8 +64,8 @@ CORPUS = [
     ),
     (
         "deep_context_derivation",
-        # Eq for [[Maybe (Int, Bool)]] takes a four-rule derivation;
-        # both engines must build the same nested dictionary.
+        # Eq for [[Maybe (Int, Bool)]] takes a four-rule derivation
+        # that must build one nested dictionary.
         "probe :: [[(Maybe (Int, Bool))]] -> Bool\n"
         "probe xs = xs == xs\n",
         "(probe [[Just (1, True)], []], [Just (1, False)] == [Nothing])",
@@ -118,22 +109,36 @@ CORPUS = [
 ]
 
 
+#: The user bindings' schemes, as both former solver backends (the
+#: recursive reduction and the CHR goal store) inferred them.
+SCHEMES = {
+    "superclass_diamond": {"viaD": "D a => a -> Int"},
+    "redundant_constraint": {"both": "(Eq a, Ord a) => a -> a -> Bool",
+                             "flipped": "(Ord a, Eq a) => a -> a -> Bool"},
+    "deep_context_derivation": {"probe": "[[Maybe (Int, Bool)]] -> Bool"},
+    "hk_superclass_chain": {
+        "viaMonad": "Monad a => a Int -> a Int",
+        "direct": "(Functor a, Monad a) => a Int -> a Int"},
+    "hk_instance_context": {"first": "Pair a b -> a b"},
+    "defaulted_method_vs_override": {"viaDefault": "Int -> Maybe Int",
+                                     "viaPure": "Int -> Maybe Int"},
+}
+
+
+@pytest.fixture(scope="module")
+def programs():
+    return {name: compile_source(decls) for name, decls, _, _ in CORPUS}
+
+
 @pytest.mark.parametrize("name,decls,expr,expected",
                          CORPUS, ids=[c[0] for c in CORPUS])
 class TestSolverCoherence:
-    def test_value_agreement(self, name, decls, expr, expected):
-        values = {solver: program.eval(expr)
-                  for solver, program in compile_both(decls).items()}
-        assert values["reduce"] == values["chr"] == expected
+    def test_value_agreement(self, programs, name, decls, expr, expected):
+        assert programs[name].eval(expr) == expected
 
-    def test_scheme_agreement(self, name, decls, expr, expected):
-        programs = compile_both(decls)
-        schemes = {
-            solver: {n: str(s) for n, s in program.schemes.items()
-                     if "$" not in n and "@" not in n}
-            for solver, program in programs.items()
-        }
-        assert schemes["reduce"] == schemes["chr"]
+    def test_scheme_agreement(self, programs, name, decls, expr, expected):
+        schemes = {n: str(programs[name].schemes[n]) for n in SCHEMES[name]}
+        assert schemes == SCHEMES[name]
 
 
 class TestLinkOrderCoherence:
@@ -188,11 +193,3 @@ class TestLinkOrderCoherence:
                     fingerprints = fps
                 else:
                     assert fps == fingerprints
-
-    def test_both_solvers_across_one_permuted_order(self):
-        modules = [self.MODULES[0], self.MODULES[2], self.MODULES[1],
-                   self.MODULES[3]]
-        for solver in SOLVERS:
-            graph = scan_inline_modules(modules)
-            build = ModuleBuilder(CompilerOptions(solver=solver)).build(graph)
-            assert build.program.run("main") == self.EXPECTED

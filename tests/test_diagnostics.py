@@ -164,6 +164,45 @@ class TestProvenanceToggle:
         assert on.run("main") == off.run("main")
 
 
+#: One ill-kinded program per place a type expression is kind-checked,
+#: with the primary span of its ``kind`` error.
+KIND_ERRORS = [
+    ("class-method",
+     "class B f where\n  one :: f a -> Int\n  two :: f a b -> Int\n",
+     (3, 10)),
+    ("type-signature", "bad :: Maybe -> Int\nbad x = 0\n", (1, 8)),
+    ("instance-head",
+     "class C f where\n  cm :: f a -> Int\ninstance C Int where\n"
+     "  cm x = 0\n", (3, 1)),
+    ("annotation", "main = (1 :: Maybe)\n", (1, 14)),
+    ("data-field", "data T = T Maybe\n", (1, 10)),
+]
+
+
+class TestKindErrorPositions:
+    """Kind errors name their own site in ``positions``, as type errors
+    do through the unifier's ``error-site`` fallback."""
+
+    @pytest.mark.parametrize("name,source,span", KIND_ERRORS,
+                             ids=[n for n, _, _ in KIND_ERRORS])
+    def test_site_is_a_position(self, name, source, span):
+        exc = capture(source)
+        assert type(exc).code == "kind"
+        assert (exc.pos.line, exc.pos.column) == span
+        assert [(p.pos.line, p.pos.column, p.reason)
+                for p in exc.positions] == [(*span, "error-site")]
+        # pretty() skips a position equal to the primary one
+        assert exc.pretty(source) == capture(
+            source, CompilerOptions(constraint_provenance=False)
+        ).pretty(source)
+
+    @pytest.mark.parametrize("name,source,span", KIND_ERRORS,
+                             ids=[n for n, _, _ in KIND_ERRORS])
+    def test_off_means_no_positions(self, name, source, span):
+        exc = capture(source, CompilerOptions(constraint_provenance=False))
+        assert exc.positions == []
+
+
 class TestUnifyPathPositions:
     """Satellite: the propagation entry points used to be called with
     ``pos=None`` and produced position-less errors; they now fall back

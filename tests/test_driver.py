@@ -174,6 +174,21 @@ class TestInfo:
         program = compile_source("plain :: Int\nplain = 42")
         assert program.info("plain") == "plain :: Int"
 
+    def test_info_on_multi_parameter_class(self):
+        program = compile_source(
+            "class Convert a b where\n"
+            "  convert :: a -> b\n"
+            "instance Convert Int Float where\n"
+            "  convert x = fromIntegral x\n"
+            "instance (Convert a b) => Convert [a] [b] where\n"
+            "  convert xs = map convert xs\n")
+        assert program.info("Convert").splitlines() == [
+            "class Convert a b where",
+            "  convert :: Convert a b => a -> b",
+            "instance Convert Int Float",
+            "instance Convert a0 a1 => Convert ([] a0) ([] a1)",
+        ]
+
 
 class TestInterface:
     def test_interface_lists_user_bindings(self):

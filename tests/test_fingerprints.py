@@ -19,6 +19,7 @@ import dataclasses
 
 import pytest
 
+from repro import compile_source
 from repro.options import (
     SERVICE_OPTION_FIELDS,
     CompilerOptions,
@@ -35,16 +36,15 @@ from repro.service.snapshot import prelude_fingerprint
 #: change compilation outcomes, so they belong in the key.  Last moved
 #: when the specialization fields — specialize_xmodule,
 #: specialize_budget — joined: both change the linked core.  Last moved
-#: when the ``solver`` field joined: the backend changes which programs
-#: compile — multi-parameter classes only exist under "chr" — so it
-#: belongs in the key.)  Pinned with an explicit solver so the guard
-#: holds regardless of the REPRO_SOLVER environment override.
+#: when the ``solver`` field joined.  It has one accepted value,
+#: "reduce", and stays in the key so that the digest did not move when
+#: the second solver was removed.)
 KNOWN_DEFAULT_OPTIONS_FP = (
     "58e56a257d99f976c89c0726b318906b2540b1bcfdff61113efdb726851716e9")
 
-#: prelude_fingerprint(CompilerOptions(solver="reduce")) for the
-#: current prelude text.  Moves when the prelude source changes
-#: (expected) or when options_fingerprint moves (see above).
+#: prelude_fingerprint(CompilerOptions()) for the current prelude
+#: text.  Moves when the prelude source changes (expected) or when
+#: options_fingerprint moves (see above).
 KNOWN_DEFAULT_PRELUDE_FP = (
     "a65f5315ffd06817f7b85bf080ba35687fb2432be5e0f54d3260fec732038d2a")
 
@@ -131,20 +131,19 @@ class TestKnownGoodDigests:
         # this digest unless it is listed in SERVICE_OPTION_FIELDS.
         # Failing here means "every cached program is about to be
         # invalidated" — decide explicitly, then update the constant.
-        # solver is pinned explicitly: its default reads REPRO_SOLVER,
-        # and this guard must hold in the chr CI job too.
-        assert options_fingerprint(CompilerOptions(solver="reduce")) \
+        assert options_fingerprint(CompilerOptions()) \
             == KNOWN_DEFAULT_OPTIONS_FP
 
     def test_default_prelude_fingerprint_pinned(self):
-        assert prelude_fingerprint(CompilerOptions(solver="reduce")) \
+        assert prelude_fingerprint(CompilerOptions()) \
             == KNOWN_DEFAULT_PRELUDE_FP
 
-    def test_chr_solver_changes_fingerprint(self):
-        # The backend is part of the cache key: the two solvers accept
-        # different programs (multi-parameter classes are chr-only).
-        assert options_fingerprint(CompilerOptions(solver="chr")) \
-            != KNOWN_DEFAULT_OPTIONS_FP
+    def test_chr_solver_rejected(self):
+        # The solver field keeps its place in the key only with its
+        # one accepted value; "chr" no longer names a backend, so no
+        # compile, and hence no cache entry, is ever keyed on it.
+        with pytest.raises(ValueError, match="'reduce'"):
+            compile_source("main = 1", CompilerOptions(solver="chr"))
 
     def test_simulated_service_field_addition_is_caught(self):
         # A *new* service-only field must be excluded explicitly.

@@ -25,16 +25,10 @@ from repro.modules.interface import interface_path
 from repro.modules.resolve import scan_inline_modules
 
 
-def eval_both(source: str, expr: str):
-    """Evaluate *expr* under both solvers; assert agreement, return
-    the (Python-shaped) value."""
-    results = []
-    for solver in ("reduce", "chr"):
-        program = compile_source(source, CompilerOptions(solver=solver))
-        results.append(program.eval(expr))
-    assert results[0] == results[1], \
-        f"solver disagreement: reduce={results[0]!r} chr={results[1]!r}"
-    return results[0]
+def evaluate(source: str, expr: str):
+    """Compile *source*, evaluate *expr*, return the (Python-shaped)
+    value."""
+    return compile_source(source).eval(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +189,7 @@ class TestHKInstances:
         assert "expects 2 type argument(s), got 0" in str(exc_info.value)
 
     def test_user_hk_instance_at_partial_application(self):
-        value = eval_both(
+        value = evaluate(
             "data Triple e w a = Triple e w a\n"
             "instance Functor (Triple e w) where\n"
             "  fmap f (Triple e w a) = Triple e w (f a)\n",
@@ -203,7 +197,7 @@ class TestHKInstances:
         assert value == ("Triple", False, 9, 42)
 
     def test_context_on_hk_var_head(self):
-        value = eval_both(
+        value = evaluate(
             "data Pair f a = Pair (f a) (f a)\n"
             "instance Functor f => Functor (Pair f) where\n"
             "  fmap g (Pair x y) = Pair (fmap g x) (fmap g y)\n",
@@ -212,62 +206,62 @@ class TestHKInstances:
 
 
 # ---------------------------------------------------------------------------
-# The prelude hierarchy at work (both solvers must agree)
+# The prelude hierarchy at work
 # ---------------------------------------------------------------------------
 
 
 class TestPreludeHierarchy:
     def test_fmap_maybe(self):
-        assert eval_both("", "fmap (\\x -> x + 1) (Just 41)") \
+        assert evaluate("", "fmap (\\x -> x + 1) (Just 41)") \
             == ("Just", 42)
 
     def test_fmap_either_partial_head(self):
-        assert eval_both(
+        assert evaluate(
             "", "(fmap (\\x -> x * 2) (Right 21), "
                 "fmap (\\x -> x * 2) (Left False))") \
             == (("Right", 42), ("Left", False))
 
     def test_fmap_list_and_operator(self):
-        assert eval_both("", "(\\f -> f <$> [1,2,3]) (\\x -> x * x)") \
+        assert evaluate("", "(\\f -> f <$> [1,2,3]) (\\x -> x * x)") \
             == [1, 4, 9]
 
     def test_reader_functor(self):
-        assert eval_both("", "(fmap (\\x -> x + 1) (\\y -> y * 2)) 5") == 11
+        assert evaluate("", "(fmap (\\x -> x + 1) (\\y -> y * 2)) 5") == 11
 
     def test_applicative_maybe(self):
-        assert eval_both("", "pure (\\x -> x + 1) <*> Just 10") \
+        assert evaluate("", "pure (\\x -> x + 1) <*> Just 10") \
             == ("Just", 11)
 
     def test_monad_bind_list(self):
-        assert eval_both("", "[1,2,3] >>= (\\x -> [x, x * 10])") \
+        assert evaluate("", "[1,2,3] >>= (\\x -> [x, x * 10])") \
             == [1, 10, 2, 20, 3, 30]
 
     def test_then_discards(self):
-        assert eval_both("", "(Just 1 >> Just 2, [1,2] >> [7])") \
+        assert evaluate("", "(Just 1 >> Just 2, [1,2] >> [7])") \
             == (("Just", 2), [7, 7])
 
     def test_return_via_superclass_default(self):
         # Monad Maybe omits return; the class default return = pure
         # must resolve pure through the superclass slot.
-        assert eval_both("", "(return 7 :: Maybe Int)") == ("Just", 7)
+        assert evaluate("", "(return 7 :: Maybe Int)") == ("Just", 7)
 
     def test_mapm_and_sequence(self):
         src = ("step :: Int -> Maybe Int\n"
                "step x = if x > 2 then Nothing else Just (x * 10)\n")
-        assert eval_both(src, "mapM step [1,2]") == ("Just", [10, 20])
-        assert eval_both(src, "mapM step [1,2,3]") == ("Nothing",)
-        assert eval_both("", "sequence [Just 1, Just 2]") \
+        assert evaluate(src, "mapM step [1,2]") == ("Just", [10, 20])
+        assert evaluate(src, "mapM step [1,2,3]") == ("Nothing",)
+        assert evaluate("", "sequence [Just 1, Just 2]") \
             == ("Just", [1, 2])
 
     def test_lifta2_either(self):
-        assert eval_both(
+        assert evaluate(
             "", "(liftA2 (\\a -> \\b -> a + b) (Right 1) (Right 2), "
                 "liftA2 (\\a -> \\b -> a + b) (Left 9) (Right 2))") \
             == (("Right", 3), ("Left", 9))
 
 
 # ---------------------------------------------------------------------------
-# Functor / Applicative / Monad laws (concrete, both solvers)
+# Functor / Applicative / Monad laws (concrete)
 # ---------------------------------------------------------------------------
 
 
@@ -287,20 +281,20 @@ FUNCTOR_CASES = [
 class TestLaws:
     @pytest.mark.parametrize("value", FUNCTOR_CASES)
     def test_functor_identity(self, value):
-        assert eval_both(
+        assert evaluate(
             LAW_PRELUDE,
             f"(fmap (\\x -> x) ({value})) == ({value})") is True
 
     @pytest.mark.parametrize("value", FUNCTOR_CASES)
     def test_functor_composition(self, value):
-        assert eval_both(
+        assert evaluate(
             LAW_PRELUDE,
             f"fmap (comp inc dbl) ({value}) "
             f"== fmap inc (fmap dbl ({value}))") is True
 
     def test_functor_laws_for_functions(self):
         # Function results cannot be compared with ==; apply at points.
-        assert eval_both(
+        assert evaluate(
             LAW_PRELUDE,
             "((fmap (\\x -> x) dbl) 21, "
             "(fmap (comp inc dbl) inc) 4, "
@@ -312,7 +306,7 @@ class TestLaws:
         ("[Int]", "[1,2]"),
     ])
     def test_applicative_identity_and_homomorphism(self, ctx, point):
-        assert eval_both(
+        assert evaluate(
             LAW_PRELUDE,
             f"((pure (\\x -> x) <*> ({point})) == ({point}), "
             f"((pure inc <*> pure 3) :: {ctx}) "
@@ -327,7 +321,7 @@ class TestLaws:
     ])
     def test_monad_laws(self, ctx, ka, kb):
         src = LAW_PRELUDE + f"ka = {ka}\nkb = {kb}\n"
-        assert eval_both(
+        assert evaluate(
             src,
             f"(((return 3 :: {ctx}) >>= ka) == ka 3, "
             f"(((return 3 :: {ctx}) >>= (\\x -> return x)) "
@@ -344,14 +338,14 @@ class TestLaws:
 
 class TestDerivingFunctor:
     def test_tree(self):
-        assert eval_both(
+        assert evaluate(
             "data Tree a = Leaf | Node (Tree a) a (Tree a)\n"
             "  deriving (Functor, Eq)\n",
             "fmap (\\x -> x * 10) (Node (Node Leaf 1 Leaf) 2 Leaf) "
             "== Node (Node Leaf 10 Leaf) 20 Leaf") is True
 
     def test_untouched_and_nested_fields(self):
-        assert eval_both(
+        assert evaluate(
             "data Rec b a = Rec b [a] (Maybe a)\n  deriving (Functor)\n",
             "fmap (\\x -> x + 1) (Rec False [1,2] (Just 9))") \
             == ("Rec", False, [2, 3], ("Just", 10))
@@ -359,7 +353,7 @@ class TestDerivingFunctor:
     def test_variable_headed_container_gets_functor_context(self):
         source = ("data Wrap f a = Wrap (f a)\n  deriving (Functor)\n"
                   "unwrap (Wrap m) = m\n")
-        assert eval_both(
+        assert evaluate(
             source, "unwrap (fmap (\\x -> x - 1) (Wrap (Just 5)))") \
             == ("Just", 4)
         program = compile_source(source)
@@ -369,7 +363,7 @@ class TestDerivingFunctor:
         assert list(inst.context[0]) == ["Functor"]
 
     def test_function_result_field(self):
-        assert eval_both(
+        assert evaluate(
             "data F e a = F (e -> a)\n  deriving (Functor)\n"
             "runF (F g) x = g x\n",
             "runF (fmap (\\x -> x + 1) (F (\\e -> e * 2))) 5") == 11

@@ -68,6 +68,41 @@ class TestInferredSchemes:
         assert scheme_of(src, "f") == "[Char] -> [Char]"
 
 
+class TestLocalSchemes:
+    """Only bindings that become top-level output get a program-wide
+    scheme; let/where-bound names stay local to their expression."""
+
+    SOURCE = "g y = let h = y + 1 in h\nmain = g 2"
+
+    def test_let_binding_has_no_scheme(self):
+        program = compile_source(self.SOURCE)
+        assert "h" not in program.schemes
+        assert not [line for line in program.interface().splitlines()
+                    if line.startswith("h ::")]
+        assert program.run("main") == 3
+
+    def test_schemes_do_not_depend_on_earlier_compiles(self):
+        # An unused local's type is a fresh variable whose number
+        # depends on how many compiles ran before; it must not show.
+        source = "d0 x = (let f = (9 + x) in (5 + 69.32))"
+        first = {n: str(s) for n, s in compile_source(source).schemes.items()}
+        second = {n: str(s)
+                  for n, s in compile_source(source).schemes.items()}
+        assert first == second
+        assert "f" not in first
+
+    def test_eval_let_leaves_no_scheme(self):
+        program = compile_source("main = 1")
+        assert program.eval("let zz = 5 in zz + 1") == 6
+        assert "zz" not in program.schemes
+        assert program.info("zz") == "zz is not defined"
+
+    def test_prelude_locals_have_no_scheme(self):
+        schemes = compile_source("").schemes
+        for name in ("first", "go", "items", "tag$d"):
+            assert name not in schemes, name
+
+
 class TestDictionaryConversion:
     def test_overloaded_function_gets_dict_param(self):
         program = compile_source(

@@ -362,6 +362,18 @@ class TestLinkCoherence:
 class TestVisibility:
     LIB = "module Lib where\nf :: Int\nf = 1\ng :: Int\ng = 2\n"
 
+    def test_local_binding_is_not_exported(self):
+        # A module without an export list exports its top-level
+        # bindings only: a use of a let-bound helper is a compile
+        # error located in the importing module.
+        graph = graph_of(
+            ("A", "module A where\n"
+                  "f x = let helper = x + 1 in helper * 2\n"),
+            ("Main", "module Main where\nimport A\nmain = helper\n"))
+        with pytest.raises(ReproError, match="helper") as exc:
+            ModuleBuilder().build(graph)
+        assert exc.value.pos.filename == "<Main>"
+
     def test_explicit_list_filters(self):
         graph = graph_of(("Lib", self.LIB),
                          ("Main", "module Main where\nimport Lib (f)\n"

@@ -141,9 +141,7 @@ class TestSeedEquivalence:
         # disk-cached program would silently be invalidated.  If one of
         # these fails, a compilation-relevant input changed — make sure
         # that was intentional before updating the constant.  (Last
-        # moved when the ``solver`` option joined CompilerOptions: the
-        # backend changes which programs compile.)  solver= is pinned
-        # explicitly so the guard holds under REPRO_SOLVER=chr too.
+        # moved when the ``solver`` option joined CompilerOptions.)
         assert options_fingerprint(CompilerOptions(solver="reduce")) == (
             "58e56a257d99f976c89c0726b318906b2540b1bcfdff61113efdb726851716e9")
         assert prelude_fingerprint(CompilerOptions(solver="reduce")) == (

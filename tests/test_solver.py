@@ -1,23 +1,25 @@
-"""The pluggable constraint-solver backend (docs/SOLVER.md).
+"""The context-reduction engine (docs/SOLVER.md).
 
-Covers the CHR engine and its rule compiler, the static
-confluence/termination checks, multi-parameter classes end-to-end, the
-reduce-side gate, the ``solver.*`` instrumentation counters, the
-memoized superclass ancestor sets, the provenance minimization cap —
-and pins a differential corpus: both solvers must agree, observably,
-on every single-parameter program in it.
+Covers the goal-store loop of :class:`~repro.solver.ReduceSolver` and
+its fuel bound, the rejection of any other solver name, the static
+confluence/termination checks, multi-parameter classes end-to-end
+under the default options, the memoized superclass ancestor sets, the
+provenance minimization cap — and pins a corpus: every program's
+verdict, value and inference counters as both former engines produced
+them.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from benchmarks.bench_e7_flatten import chain_program
 from repro import CompilerOptions, compile_source
+from repro.cli import main as cli_main
 from repro.core.classes import ClassEnv, ClassInfo, InstanceInfo
 from repro.core.types import T_INT, TyVar, list_type
 from repro.core.unify import Unifier
 from repro.errors import (
-    MultiParamError,
     ReproError,
     ResourceLimitError,
     SolverNonterminatingError,
@@ -25,14 +27,9 @@ from repro.errors import (
     TypeCheckError,
 )
 from repro.pipeline.context import PhaseTrace
-from repro.service.snapshot import PreludeSnapshot
-from repro.solver import ConstraintSolver, ReduceSolver, make_solver
-from repro.solver.chr import ChrSolver
-from repro.solver.rules import compile_rules
-from tests.fuzz.run_fuzz import check_solver_diff
+from repro.solver import ReduceSolver
 
-REDUCE = CompilerOptions(solver="reduce")
-CHR = CompilerOptions(solver="chr")
+DEFAULT = CompilerOptions()
 
 CONVERT = """\
 class Convert a b where
@@ -56,66 +53,12 @@ def code_of(source: str, options: CompilerOptions) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Solver selection
-# ---------------------------------------------------------------------------
-
-
-class TestMakeSolver:
-    def test_reduce(self):
-        solver = make_solver("reduce")
-        assert isinstance(solver, ReduceSolver)
-        assert solver.name == "reduce"
-        assert isinstance(solver, ConstraintSolver)
-
-    def test_chr(self):
-        solver = make_solver("chr")
-        assert isinstance(solver, ChrSolver)
-        assert solver.name == "chr"
-        assert isinstance(solver, ConstraintSolver)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_solver("smt")
-
-    def test_options_reach_the_unifier(self):
-        from repro.pipeline import CompileContext
-        ctx = CompileContext.fresh(CHR, [("main = 1", "<t>")])
-        assert ctx.inferencer.unifier.solver.name == "chr"
-        assert ctx.static_env.class_env.solver == "chr"
-
-
-# ---------------------------------------------------------------------------
-# Rule compilation (class env -> CHR program)
-# ---------------------------------------------------------------------------
-
-
-class TestCompileRules:
-    def test_prelude_rules(self):
-        snapshot = PreludeSnapshot.build(REDUCE)
-        rules = compile_rules(snapshot._static_env.class_env)
-        rendered = str(rules).splitlines()
-        # class Eq a => Ord a  ==>  a propagation rule
-        assert "Ord a ==> Eq a" in rendered
-        # instance Eq a => Eq [a]  ==>  a simplification rule
-        assert "Eq ([] v0) <=> Eq v0" in rendered
-        # instance Eq Int has an empty body
-        assert "Eq Int <=> True" in rendered
-
-    def test_mp_instance_rules(self):
-        program = compile_source(CONVERT, CHR)
-        rules = compile_rules(program.class_env)
-        rendered = str(rules).splitlines()
-        assert "Convert Int Float <=> True" in rendered
-        assert "Convert Float Int <=> True" in rendered
-
-
-# ---------------------------------------------------------------------------
-# The CHR engine itself
+# The goal-store loop
 # ---------------------------------------------------------------------------
 
 
 def tiny_env() -> ClassEnv:
-    env = ClassEnv(solver="chr")
+    env = ClassEnv()
     env.add_class(ClassInfo("C", []))
     env.add_instance(InstanceInfo("Int", "C", "dInt", []))
     env.add_instance(InstanceInfo("[]", "C", "dList", [["C"]]))
@@ -123,53 +66,71 @@ def tiny_env() -> ClassEnv:
 
 
 class TestChrEngine:
+    """The CHR reading of context reduction: instances are
+    simplification rules fired off one goal store."""
+
     def test_simplification_discharges_nested_goal(self):
-        solver = ChrSolver()
-        unifier = Unifier(tiny_env(), solver=solver)
+        unifier = Unifier(tiny_env())
         # C [[Int]] <=>* True: three simplifications, no residue.
-        solver.solve(unifier, ["C"], list_type(list_type(T_INT)), None)
-        assert solver.firings == 3
-        assert solver.simplifications == 3
-        assert solver.store_peak == 1
+        unifier.solver.solve(unifier, ["C"], list_type(list_type(T_INT)),
+                             None)
+        assert unifier.context_reduction_count == 3
+        assert unifier.constraint_propagations == 0
 
     def test_variable_goal_lands_in_context(self):
-        solver = ChrSolver()
-        unifier = Unifier(tiny_env(), solver=solver)
+        unifier = Unifier(tiny_env())
         var = TyVar(1)
-        solver.solve(unifier, ["C"], var, None)
+        unifier.solver.solve(unifier, ["C"], var, None)
         assert "C" in var.context
+        assert unifier.constraint_propagations == 1
 
     def test_missing_instance_is_located_error(self):
-        solver = ChrSolver()
-        unifier = Unifier(tiny_env(), solver=solver)
+        unifier = Unifier(tiny_env())
         from repro.core.types import T_BOOL
         with pytest.raises(TypeCheckError):
-            solver.solve(unifier, ["C"], T_BOOL, None)
+            unifier.solver.solve(unifier, ["C"], T_BOOL, None)
 
     def test_fuel_exhaustion(self):
-        # C [[Int]] needs three firings; two units of fuel are not
+        # C [[Int]] needs three goals; two units of fuel are not
         # enough, and the failure is a located resource-limit error
         # like every other budget.
-        solver = ChrSolver(fuel=2)
-        unifier = Unifier(tiny_env(), solver=solver)
+        solver = ReduceSolver(fuel=2)
+        unifier = Unifier(tiny_env())
         with pytest.raises(ResourceLimitError) as err:
             solver.solve(unifier, ["C"], list_type(list_type(T_INT)), None)
         assert err.value.limit == "solver_fuel"
 
-    def test_counters_surface_in_compile_stats(self):
-        program = compile_source("main = show (1 + 2)", CHR)
-        trace = program.compile_stats.phases
-        assert trace.solver_name == "chr"
-        counters = trace.counters("infer")
-        assert counters["solver.firings"] > 0
-        assert counters["solver.simplifications"] > 0
-        assert counters["solver.store-peak"] >= 1
-
     def test_reduce_reports_no_solver_counters(self):
-        program = compile_source("main = show (1 + 2)", REDUCE)
-        trace = program.compile_stats.phases
-        assert trace.solver_name == "reduce"
-        assert "solver.firings" not in trace.counters("infer")
+        program = compile_source("main = show (1 + 2)", DEFAULT)
+        counters = program.compile_stats.phases.counters("infer")
+        assert not [name for name in counters if name.startswith("solver.")]
+
+
+class TestOneEngine:
+    def test_unknown_solver_rejected(self):
+        with pytest.raises(ValueError, match="'reduce'"):
+            compile_source("main = 1", CompilerOptions(solver="smt"))
+
+    def test_cli_has_no_solver_flag(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli_main(["run", "prog.mhs", "--solver", "reduce"])
+        assert exit_.value.code == 2
+        assert "--solver" in capsys.readouterr().err
+
+    def test_superclass_depth_adds_no_goal_work(self):
+        # A superclass tower is absorbed by constraint compaction over
+        # the memoized ancestor sets, never expanded into one goal per
+        # superclass edge: the program's own reduction work (the empty
+        # program's share subtracted) does not grow with the depth.
+        def work(source: str) -> int:
+            stats = compile_source(source).compile_stats
+            return stats.constraint_propagations + stats.context_reductions
+
+        base = work("")
+        shallow = work(chain_program(2, 150)) - base
+        deep = work(chain_program(20, 150)) - base
+        assert shallow > 0
+        assert deep - shallow <= 4
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +139,10 @@ class TestChrEngine:
 
 
 class TestMultiParam:
-    def test_convert_runs_under_chr(self):
-        program = compile_source(CONVERT, CHR)
+    def test_convert_runs_by_default(self):
+        program = compile_source(CONVERT, DEFAULT)
         assert str(program.schemes["main"]) == "Float"
         assert program.run("main") == 5.0
-
-    def test_reduce_gate(self):
-        # The paper's reduce path is single-parameter by construction;
-        # the gate names the escape hatch.
-        assert code_of(CONVERT, REDUCE) == "static.multi-param"
 
     def test_mp_instance_with_context(self):
         source = CONVERT + """\
@@ -197,7 +153,7 @@ instance (Convert a b) => Convert [a] [b] where
 lifted :: [Float]
 lifted = convert [1 :: Int, 2, 3]
 """
-        program = compile_source(source, CHR)
+        program = compile_source(source, DEFAULT)
         assert program.run("lifted") == [1.0, 2.0, 3.0]
 
     def test_mp_constraint_propagates_through_signature(self):
@@ -209,7 +165,7 @@ via x = convert x
 indirect :: Int
 indirect = via (2.5 :: Float)
 """
-        program = compile_source(source, CHR)
+        program = compile_source(source, DEFAULT)
         assert program.run("indirect") == 2
 
     def test_overlap_rejected(self):
@@ -218,7 +174,7 @@ indirect = via (2.5 :: Float)
 instance Convert Int b where
   convert x = convert x
 """
-        assert code_of(source, CHR) == "solver.overlap"
+        assert code_of(source, DEFAULT) == "solver.overlap"
 
     def test_all_variable_head_rejected(self):
         source = """\
@@ -230,23 +186,14 @@ instance Conv b a => Conv a b where
 
 main = 0
 """
-        assert code_of(source, CHR) == "solver.nonterminating"
+        assert code_of(source, DEFAULT) == "solver.nonterminating"
 
     def test_static_check_exceptions_are_static_errors(self):
         from repro.errors import StaticError
         assert issubclass(SolverOverlapError, StaticError)
         assert issubclass(SolverNonterminatingError, StaticError)
-        assert issubclass(MultiParamError, StaticError)
         assert SolverOverlapError.code == "solver.overlap"
         assert SolverNonterminatingError.code == "solver.nonterminating"
-        assert MultiParamError.code == "static.multi-param"
-
-    def test_mp_class_gate_in_class_env(self):
-        env = ClassEnv(solver="reduce")
-        with pytest.raises(MultiParamError):
-            env.add_class(ClassInfo("Rel", [], arity=2))
-        env = ClassEnv(solver="chr")
-        env.add_class(ClassInfo("Rel", [], arity=2))  # accepted
 
 
 # ---------------------------------------------------------------------------
@@ -349,11 +296,10 @@ class TestMinimizeCap:
 # The differential guarantee, pinned
 # ---------------------------------------------------------------------------
 
-#: Single-parameter programs both solvers must agree on — verdict,
-#: error code, inferred schemes, and the value of ``main``.  Drawn
-#: from the shapes the fuzz harness's ``--solver-diff`` mode generates;
-#: pinned here so the guarantee is checked on every plain test run,
-#: not only in the fuzz job.
+#: Programs the two former engines (the recursive reduction and the CHR
+#: goal store) agreed on — verdict, error code, inferred schemes and
+#: the value of ``main`` — drawn from the shapes the fuzz generator
+#: produces.  The one engine must keep what they agreed on.
 SOLVER_DIFF_CORPUS = [
     ("arith", "main = show (1 + 2 * 3)"),
     ("superclass-tower", """\
@@ -399,33 +345,60 @@ main = Box [1, 2] == Box [1, 2]
 """),
     ("ambiguous", "main = show (read \"1\")"),
     ("unify-error", "main = if True then 1 else \"x\""),
-    ("mptc-reduce-gated", CONVERT),
+    ("mptc", CONVERT),
 ]
 
 
-class TestDifferentialCorpus:
-    @pytest.fixture(scope="class")
-    def snapshots(self):
-        return (PreludeSnapshot.build(REDUCE), PreludeSnapshot.build(CHR))
+#: Per program: the value of ``main`` (or the error code) and the
+#: ``CompileStats`` counters ``(unify_count, context_reductions,
+#: constraint_propagations)``, as both former engines produced them.
+#: The counters include the prelude's share.
+PINNED = {
+    "arith": ("7", (11158, 50, 342)),
+    "superclass-tower": (33, (11228, 57, 339)),
+    "missing-instance": ("type.no-instance", None),
+    "missing-superclass-instance": ("type.no-instance", None),
+    "deferred-then-defaulted": ("6", (11181, 50, 341)),
+    "instance-context": ("parse", None),
+    "ambiguous": ("type.ambiguous", None),
+    "unify-error": ("type.no-instance", None),
+    "mptc": (5.0, (11173, 53, 339)),
+}
 
+
+@pytest.fixture(scope="module")
+def corpus():
+    """Each corpus program compiled once: the program, or its error."""
+    results = {}
+    for name, source in SOLVER_DIFF_CORPUS:
+        try:
+            results[name] = compile_source(source, DEFAULT)
+        except ReproError as exc:
+            results[name] = exc
+    return results
+
+
+class TestDifferentialCorpus:
     @pytest.mark.parametrize(
         "name,source", SOLVER_DIFF_CORPUS,
         ids=[name for name, _ in SOLVER_DIFF_CORPUS])
-    def test_solvers_agree(self, snapshots, name, source):
-        reduce_snapshot, chr_snapshot = snapshots
-        # check_solver_diff raises AssertionError on any observable
-        # difference (verdict, code, schemes, value of main).
-        check_solver_diff(source, reduce_snapshot, chr_snapshot,
-                          REDUCE, CHR)
+    def test_solvers_agree(self, corpus, name, source):
+        expected, _ = PINNED[name]
+        result = corpus[name]
+        if isinstance(result, ReproError):
+            assert type(result).code == expected
+        else:
+            assert result.run("main") == expected
 
-    def test_counters_match_reduce_exactly(self, snapshots):
-        # Stronger than agreement on results: the CHR engine fires
-        # rules in the reduce path's derivation order, so even the E9
-        # instrumentation counters coincide.
-        source = SOLVER_DIFF_CORPUS[1][1]
-        red = compile_source(source, REDUCE).compile_stats
-        chrp = compile_source(source, CHR).compile_stats
-        assert red.unify_count == chrp.unify_count
-        assert red.phases.context_reductions == chrp.phases.context_reductions
-        assert red.phases.constraint_propagations \
-            == chrp.phases.constraint_propagations
+    def test_counters_match_reduce_exactly(self, corpus):
+        # Stronger than agreement on results: the goal store fires
+        # goals in the recursive reduce path's derivation order, so
+        # even the E9 instrumentation counters are the ones it counted.
+        for name, (_, counters) in PINNED.items():
+            result = corpus[name]
+            if counters is None:
+                assert isinstance(result, ReproError), name
+                continue
+            stats = result.compile_stats
+            assert (stats.unify_count, stats.context_reductions,
+                    stats.constraint_propagations) == counters, name
