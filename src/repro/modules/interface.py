@@ -24,11 +24,20 @@ recompiles); they carry their own digest, ``unfold_fp``, which the
 link-level caches key on.  Older ``.ri`` files on disk are handled by
 :func:`load_interface`'s ``stale_ok`` mode: treated as absent, never a
 pickle or shape error, so a build simply regenerates them.
+
+On disk an interface is a magic string, a format-version byte and a
+pickle written by the C pickler with its memo off (``fast`` mode): every
+shared sub-object is written out in full, so the bytes depend on the
+interface's content alone (:func:`_canonical_dumps`).  That is the same
+encoding, byte for byte, as the pure-Python pickler writes with its
+memo disabled, at about a tenth of the cost;
+``tests/test_interface_bytes.py`` pins the bytes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 import pickle
 import tempfile
@@ -152,10 +161,9 @@ def interface_path(out_dir: str, module: str) -> str:
     return os.path.join(out_dir, module + INTERFACE_SUFFIX)
 
 
-class _CanonicalPickler(pickle._Pickler):
-    """A pickler with object memoization disabled, so every occurrence
-    of a sub-object serializes by value and the output bytes are a pure
-    function of interface *content*.
+def _canonical_dumps(obj: Any) -> bytes:
+    """Pickle *obj* with the memo off, so the bytes are a pure
+    function of its content.
 
     The default pickler emits back-references for objects it has seen,
     making the bytes depend on which sub-objects happen to be shared in
@@ -163,23 +171,20 @@ class _CanonicalPickler(pickle._Pickler):
     against live canonical env objects) and a distributed one (dep
     interfaces unpickled from a worker pipe are copies).  Distributed
     builds promise byte-identical ``.ri`` files, so the on-disk format
-    must not see the difference.  Interfaces are acyclic trees; the
-    cost of dropping the memo is a little duplication, not safety."""
-
-    def memoize(self, obj) -> None:  # noqa: D102 — see class docstring
-        pass
-
-
-def _canonical_dumps(obj: Any) -> bytes:
-    import io
+    must not see the difference.  ``fast`` mode turns the C pickler's
+    memo off: every occurrence of a sub-object serializes by value.
+    Interfaces are acyclic trees; the cost of dropping the memo is a
+    little duplication, not safety."""
     buf = io.BytesIO()
-    _CanonicalPickler(buf, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+    pickler.fast = True
+    pickler.dump(obj)
     return buf.getvalue()
 
 
 def save_interface(iface: ModuleInterface, path: str) -> None:
-    """Write *iface* to *path* atomically (magic + version + canonical
-    pickle — see :class:`_CanonicalPickler` for why the bytes must be a
+    """Write *iface* to *path* atomically (magic + version + memo-free
+    pickle — see :func:`_canonical_dumps` for why the bytes must be a
     function of content alone)."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
