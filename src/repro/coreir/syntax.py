@@ -269,22 +269,10 @@ def map_subexprs(expr: CoreExpr, fn) -> CoreExpr:
             return expr
         return CLet(binds, body, expr.recursive)
     if isinstance(expr, CCase):
-        scrut = fn(expr.scrutinee)
-        alt_bodies = [fn(a.body) for a in expr.alts]
-        lit_bodies = [fn(a.body) for a in expr.lit_alts]
-        default = fn(expr.default) if expr.default is not None else None
-        if (scrut is expr.scrutinee and default is expr.default
-                and all(b is a.body for b, a in zip(alt_bodies, expr.alts))
-                and all(b is a.body
-                        for b, a in zip(lit_bodies, expr.lit_alts))):
-            return expr
-        return CCase(
-            scrut,
-            [CAlt(a.con_name, list(a.binders), b, a.anns)
-             for a, b in zip(expr.alts, alt_bodies)],
-            [CLitAlt(a.value, a.kind, b)
-             for a, b in zip(expr.lit_alts, lit_bodies)],
-            default)
+        return _rebuild_case(
+            expr, fn(expr.scrutinee), [fn(a.body) for a in expr.alts],
+            [fn(a.body) for a in expr.lit_alts],
+            fn(expr.default) if expr.default is not None else None)
     if isinstance(expr, CTuple):
         items = [fn(i) for i in expr.items]
         if all(n is o for n, o in zip(items, expr.items)):
@@ -301,6 +289,60 @@ def map_subexprs(expr: CoreExpr, fn) -> CoreExpr:
             return expr
         return CSel(expr.index, expr.arity, sub, expr.from_dict)
     return expr
+
+
+def map_subexprs_scoped(expr: CoreExpr, fn, scope, extend) -> CoreExpr:
+    """:func:`map_subexprs` for walks that track what is in scope.
+
+    Each child is rewritten as ``fn(child, s)``.  For a child under
+    binders of *expr* — a lambda's parameters, a let group's names (over
+    its right-hand sides only when the let is recursive), a case
+    alternative's binders — ``s`` is ``extend(scope, binders)``; for any
+    other child it is *scope* itself.  Untouched nodes keep their
+    identity, as with :func:`map_subexprs`."""
+    if isinstance(expr, CApp):
+        f, a = fn(expr.fn, scope), fn(expr.arg, scope)
+        if f is expr.fn and a is expr.arg:
+            return expr
+        return CApp(f, a)
+    if isinstance(expr, CLam):
+        body = fn(expr.body, extend(scope, expr.params))
+        if body is expr.body:
+            return expr
+        return CLam(list(expr.params), body, expr.anns)
+    if isinstance(expr, CLet):
+        inner = extend(scope, [n for n, _ in expr.binds])
+        rhs_scope = inner if expr.recursive else scope
+        binds = [(n, fn(e, rhs_scope)) for n, e in expr.binds]
+        body = fn(expr.body, inner)
+        if body is expr.body and all(
+                new is old for (_, new), (_, old) in zip(binds, expr.binds)):
+            return expr
+        return CLet(binds, body, expr.recursive)
+    if isinstance(expr, CCase):
+        return _rebuild_case(
+            expr, fn(expr.scrutinee, scope),
+            [fn(a.body, extend(scope, a.binders)) for a in expr.alts],
+            [fn(a.body, scope) for a in expr.lit_alts],
+            fn(expr.default, scope) if expr.default is not None else None)
+    return map_subexprs(expr, lambda sub: fn(sub, scope))
+
+
+def _rebuild_case(expr: CCase, scrut: CoreExpr, alt_bodies: List[CoreExpr],
+                  lit_bodies: List[CoreExpr],
+                  default: Optional[CoreExpr]) -> CoreExpr:
+    """*expr* with new children; *expr* itself when none changed."""
+    if (scrut is expr.scrutinee and default is expr.default
+            and all(b is a.body for b, a in zip(alt_bodies, expr.alts))
+            and all(b is a.body for b, a in zip(lit_bodies, expr.lit_alts))):
+        return expr
+    return CCase(
+        scrut,
+        [CAlt(a.con_name, list(a.binders), b, a.anns)
+         for a, b in zip(expr.alts, alt_bodies)],
+        [CLitAlt(a.value, a.kind, b)
+         for a, b in zip(expr.lit_alts, lit_bodies)],
+        default)
 
 
 def count_nodes(expr: CoreExpr) -> int:

@@ -154,6 +154,21 @@ class TestLinkTimeClones:
         assert not [b for b in clone_bindings(program)
                     if b.name.startswith("sumElems@")]
 
+    def test_local_binder_shadowing_a_prelude_name_is_not_a_root(self):
+        # The let-bound ``insert`` is generalised: its call passes the
+        # constant Ord Int dictionary, as a call of the prelude's
+        # ``insert`` would.  Module and prelude origins differ, but the
+        # call names the local function and must stay one.
+        src = ("module Main where\n"
+               "f :: Int -> [Int]\n"
+               "f n = let insert x ys = if x <= x then x : ys else ys\n"
+               "      in insert n [1]\n"
+               "main = f 5\n")
+        program = ModuleBuilder().build(graph_of(("Main", src))).program
+        assert program.run("main") == [5, 1]
+        assert not [b for b in clone_bindings(program)
+                    if b.name.startswith("insert@")]
+
     def test_specialized_equals_dictionary_build_linted(self):
         # Observational equivalence under the core lint: the clone
         # rewrite changes the core, never the meaning.

@@ -16,6 +16,14 @@ main = rep 50 'q'
 """
 
 
+#: A local function named like an overloaded prelude function.
+SHADOWING_LOCAL = """
+f :: Int -> [Int]
+f n = let insert x ys = if x <= x then x : ys else ys in insert n [1]
+main = f 5
+"""
+
+
 def run_with(source, **options):
     program = compile_source(source, CompilerOptions(**options))
     result = program.run("main")
@@ -173,6 +181,17 @@ class TestSpecialization:
         spec, program = run_with(src, specialize=True)
         assert spec is True
         assert any("member@" in n for n in program.core.names())
+
+    def test_local_binder_shadowing_a_top_level_name_is_not_a_root(self):
+        # The let-bound ``insert`` is generalised, so its call passes an
+        # Ord dictionary — at the same constant vector a call of the
+        # prelude's overloaded ``insert`` would.  It is still the local
+        # function: cloning the prelude's in its place flips the result.
+        plain, _ = run_with(SHADOWING_LOCAL, specialize=False)
+        spec, program = run_with(SHADOWING_LOCAL, specialize=True)
+        assert plain == spec == [5, 1]
+        assert not any(n.startswith("insert@")
+                       for n in program.core.names())
 
 
 class TestConstantDictReduction:
