@@ -4,6 +4,7 @@ interactions between features."""
 import pytest
 
 from repro import AmbiguityError, CompilerOptions, compile_source
+from repro.errors import StaticError
 
 
 class TestInstanceEdgeCases:
@@ -122,6 +123,19 @@ class TestShadowing:
     def test_local_shadowing_of_prelude_function(self, run_main):
         assert run_main(
             "main = let length = \\xs -> 99 in length []") == 99
+
+    def test_top_level_redefinition_of_prelude_value_rejected(self):
+        # Prelude code calls ``map`` by name (concatMap does); a user
+        # ``map`` would replace it under that code.
+        src = ("map f xs = 42\n"
+               "main = concatMap (\\x -> [x, x]) [1, 2, 3]")
+        with pytest.raises(StaticError, match="prelude defines map") as exc:
+            compile_source(src)
+        assert exc.value.code == "static"
+        assert (exc.value.pos.line, exc.value.pos.column) == (1, 1)
+
+    def test_top_level_method_name_stays_shadowable(self, run_main):
+        assert run_main('show x = "mine"\nmain = show 3') == "mine"
 
     def test_parameter_shadows_top_level(self, run_main):
         assert run_main("x = 1\nf x = x + x\nmain = f 5") == 10

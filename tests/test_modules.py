@@ -23,6 +23,7 @@ from repro.errors import (
     ModuleCycleError,
     ModuleError,
     ReproError,
+    StaticError,
     UnknownModuleError,
 )
 from repro.modules import (
@@ -447,6 +448,16 @@ class TestVisibility:
             ("Main", "module Main where\nimport A\nf = 2\nmain = f\n"))
         with pytest.raises(ModuleError, match="also\\s+imports"):
             ModuleBuilder().build(graph)
+
+    def test_redefining_a_prelude_value_rejected(self):
+        graph = graph_of(
+            ("A", "module A where\nmap f xs = 42\n"),
+            ("Main", "module Main where\nimport A\n"
+                     "main = concatMap (\\x -> [x, x]) [1, 2, 3]\n"))
+        with pytest.raises(StaticError, match="prelude defines map") as exc:
+            ModuleBuilder().build(graph)
+        assert exc.value.pos.filename == "<A>"
+        assert (exc.value.pos.line, exc.value.pos.column) == (2, 1)
 
     def test_fixity_travels_in_interface(self):
         graph = graph_of(
