@@ -17,9 +17,9 @@ Checks, with their stable error codes (see docs/CORE.md):
     list, one let group, one case alternative), and no duplicate
     top-level names for *generated* bindings (dictionaries, selectors,
     method implementations).  Ordinary nested shadowing is legal, and
-    so is a later ``user`` binding redefining an earlier one — that is
-    how a program shadows a prelude name (the evaluator's globals are
-    last-wins);
+    so is a later ``user`` binding redefining an earlier one (the
+    evaluator's globals are last-wins), although inference already
+    rejects a program that redefines a prelude value;
 ``lint.con-arity``
     constructor values and case alternatives agree with the declared
     constructor arities;
@@ -362,9 +362,8 @@ def lint_program(program: CoreProgram, *,
     if extra_globals is not None:
         globals_.update(extra_globals)
     names = [b.name for b in program.bindings]
-    # Last-wins redefinition of a 'user' binding is the documented way
-    # a later unit shadows an earlier one (e.g. a program redefining a
-    # prelude function); a *generated* binding appearing twice is a
+    # A repeated 'user' binding is legal core (the evaluator's globals
+    # are last-wins); a *generated* binding appearing twice is a
     # compiler bug.
     generated = {b.name for b in program.bindings if b.kind != "user"}
     dupes = [n for n in _duplicates(names) if n in generated]
