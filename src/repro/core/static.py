@@ -9,10 +9,8 @@ This module builds:
 * the kind environment (kind inference over data declarations);
 * the data constructor environment (constructor schemes);
 * the class environment (:mod:`repro.core.classes`): method schemes,
-  superclasses, defaults, and the instance 4-tuples with their
-  per-argument contexts;
-* names for the generated artefacts: the dictionary variable of every
-  instance and the implementation function of every instance method.
+  superclasses, defaults, and one instance record per instance
+  declaration, of any class arity (at arity 1, the paper's 4-tuple).
 
 It also expands ``deriving`` clauses into ordinary instance
 declarations (via :mod:`repro.core.deriving`) — the paper notes that
@@ -28,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import KindError, SourcePos, StaticError
 from repro.core.classes import (ClassEnv, ClassInfo, InstanceInfo, MethodInfo,
-                                MethodSet, MPInstanceInfo)
+                                MethodSet)
 from repro.core.kinds import (
     STAR,
     KFun,
@@ -55,8 +53,6 @@ from repro.core.types import (
     fn_types,
 )
 from repro.lang import ast
-from repro.util.names import (dict_var_name, method_impl_name,
-                              mp_dict_var_name, mp_head_key)
 
 
 @dataclass
@@ -90,9 +86,6 @@ class StaticEnv:
         self._tycons: Dict[str, TyCon] = {}
         #: instance bodies awaiting compilation: (InstanceInfo, decl AST)
         self.instance_bodies: List[Tuple[InstanceInfo, ast.InstanceDecl]] = []
-        #: multi-parameter instance bodies awaiting compilation
-        self.mp_instance_bodies: List[
-            Tuple[MPInstanceInfo, ast.InstanceDecl]] = []
         #: class declaration ASTs (for default method compilation)
         self.class_bodies: Dict[str, ast.ClassDecl] = {}
         #: type synonyms: name -> (parameters, right-hand side syntax)
@@ -565,105 +558,143 @@ def _stype_vars(sty: ast.SType) -> List[str]:
     return out
 
 
-def decompose_instance_head(head: ast.SType) -> Tuple[str, List[str]]:
-    """``C (T a1 ... an)``: return the head constructor name and its
-    argument variables, enforcing the Haskell 1.2 instance form (all
-    arguments distinct type variables)."""
-    args: List[ast.SType] = []
-    sty = head
-    while isinstance(sty, ast.STyApp):
-        args.append(sty.arg)
-        sty = sty.fn
-    args.reverse()
-    if not isinstance(sty, ast.STyCon):
-        raise StaticError(
-            "instance head must be a type constructor applied to type "
-            "variables", head.pos)
-    var_names: List[str] = []
-    for arg in args:
-        if not isinstance(arg, ast.STyVar):
-            raise StaticError(
-                "instance head arguments must be plain type variables "
-                "(e.g. 'instance Eq a => Eq [a]')", head.pos)
-        if arg.name in var_names:
-            raise StaticError(
-                "instance head arguments must be distinct type variables",
-                head.pos)
-        var_names.append(arg.name)
-    return sty.name, var_names
-
-
 def _process_instance_decl(env: StaticEnv, decl: ast.InstanceDecl) -> None:
+    """Check ``instance ctx => C p1 ... pn`` and register its
+    :class:`InstanceInfo` (the overlap and termination checks run at
+    registration, :meth:`ClassEnv.add_instance`).
+
+    Each head pattern is a type constructor applied to type variables —
+    the Haskell 1.2 form — or, for a multi-parameter class only, a bare
+    type variable.  The variables are distinct across the whole head, so
+    matching an instance is pure binding, never unification.  The
+    context constrains head variables; a single-parameter instance's
+    context holds single-parameter constraints only (§5: they become
+    type-variable contexts)."""
+    heads = decl.all_heads
     cinfo = env.class_env.classes.get(decl.class_name)
-    if decl.heads is not None or (cinfo is not None and cinfo.arity > 1):
-        _process_mp_instance_decl(env, decl)
-        return
-    tycon_name, var_names = decompose_instance_head(decl.head)
-    kind = env.kind_env.lookup(tycon_name)
-    if kind is None and tycon_name.startswith("(,"):
-        kind = env.tycon(tycon_name).kind  # tuple constructors on demand
-    if kind is None:
-        raise StaticError(f"unknown type constructor {tycon_name}", decl.pos)
+    if cinfo is not None and cinfo.arity != len(heads):
+        raise StaticError(
+            f"class {decl.class_name} has {cinfo.arity} parameter(s), "
+            f"but the instance head supplies {len(heads)} type(s)", decl.pos)
+    var_names: List[str] = []
+    shapes: List[Tuple[Optional[str], List[str], Optional[Kind]]] = []
+    for head in heads:
+        pos = head.pos or decl.pos
+        if isinstance(head, ast.STyVar) and len(heads) > 1:
+            args: List[ast.SType] = [head]
+            tycon_name: Optional[str] = None
+        else:
+            args = []
+            sty = head
+            while isinstance(sty, ast.STyApp):
+                args.append(sty.arg)
+                sty = sty.fn
+            args.reverse()
+            if not isinstance(sty, ast.STyCon):
+                raise StaticError(
+                    "instance head must be a type constructor applied to "
+                    "type variables", pos)
+            tycon_name = sty.name
+        names: List[str] = []
+        for arg in args:
+            if not isinstance(arg, ast.STyVar):
+                raise StaticError(
+                    "instance head arguments must be plain type variables "
+                    "(e.g. 'instance Eq a => Eq [a]')", pos)
+            if arg.name in var_names:
+                raise StaticError(
+                    "instance head arguments must be distinct type "
+                    "variables", pos)
+            var_names.append(arg.name)
+            names.append(arg.name)
+        kind: Optional[Kind] = None
+        if tycon_name is not None:
+            kind = env.kind_env.lookup(tycon_name)
+            if kind is None and tycon_name.startswith("(,"):
+                kind = env.tycon(tycon_name).kind  # tuples on demand
+            if kind is None:
+                raise StaticError(f"unknown type constructor {tycon_name}",
+                                  decl.pos)
+        shapes.append((tycon_name, names, kind))
     class_info = env.class_env.class_info(decl.class_name)
-    # Kind check (docs/CLASSES.md): the head may be a *partial*
-    # application — ``instance Functor (Either a)`` applies the
-    # ``* -> * -> *`` constructor to one argument, leaving ``* -> *``,
-    # which must be exactly the class variable's inferred kind.
-    want = class_info.param_kinds[0]
-    if kind_eq(want, STAR):
-        # A kind-* class: the head must be a full application (the
-        # paper's rule, with its original diagnostic).
-        if kind_arity(kind) != len(var_names):
-            raise KindError(
-                f"instance head {tycon_name} expects {kind_arity(kind)} "
-                f"type argument(s), got {len(var_names)}", decl.pos)
-    else:
-        remaining = drop_kind_args(kind, len(var_names))
-        if remaining is None:
-            raise KindError(
-                f"instance head {tycon_name} expects at most "
-                f"{kind_arity(kind)} type argument(s), got "
-                f"{len(var_names)}", decl.pos)
-        if not kind_eq(remaining, want):
-            head_txt = " ".join([tycon_name] + var_names)
-            raise KindError(
-                f"instance head {head_txt} has kind {kind_str(remaining)}, "
-                f"but class {decl.class_name} expects instances at kind "
-                f"{kind_str(want)}", decl.pos)
-    # Kind of each (applied) head variable: the leading argument kinds
-    # of the constructor.
-    head_arg_kinds: List[Kind] = []
-    k: Kind = kind
-    for _ in var_names:
-        assert isinstance(k, KFun)
-        head_arg_kinds.append(k.arg)
-        k = k.res
-    # Per-argument context: the paper's representation.
-    per_arg: List[List[str]] = [[] for _ in var_names]
+    var_kinds: List[Kind] = []
+    patterns: List[Tuple[Optional[str], Tuple[int, ...]]] = []
+    for (tycon_name, names, kind), want in zip(shapes,
+                                               class_info.param_kinds):
+        first = len(var_kinds)
+        patterns.append((tycon_name, tuple(range(first,
+                                                 first + len(names)))))
+        if kind is None:
+            var_kinds.append(want)
+            continue
+        # Kind check (docs/CLASSES.md): the head may be a *partial*
+        # application — ``instance Functor (Either a)`` applies the
+        # ``* -> * -> *`` constructor to one argument, leaving
+        # ``* -> *``, which must be exactly the class variable's
+        # inferred kind.
+        if kind_eq(want, STAR):
+            # A kind-* parameter: the head must be a full application
+            # (the paper's rule, with its original diagnostic).
+            if kind_arity(kind) != len(names):
+                raise KindError(
+                    f"instance head {tycon_name} expects "
+                    f"{kind_arity(kind)} type argument(s), got "
+                    f"{len(names)}", decl.pos)
+        else:
+            remaining = drop_kind_args(kind, len(names))
+            if remaining is None:
+                raise KindError(
+                    f"instance head {tycon_name} expects at most "
+                    f"{kind_arity(kind)} type argument(s), got "
+                    f"{len(names)}", decl.pos)
+            if not kind_eq(remaining, want):
+                head_txt = " ".join([tycon_name] + names)
+                raise KindError(
+                    f"instance head {head_txt} has kind "
+                    f"{kind_str(remaining)}, but class {decl.class_name} "
+                    f"expects instances at kind {kind_str(want)}", decl.pos)
+        # Kind of each (applied) head variable: the leading argument
+        # kinds of the constructor.
+        for _ in names:
+            assert isinstance(kind, KFun)
+            var_kinds.append(kind.arg)
+            kind = kind.res
+    preds: List[Tuple[str, Tuple[int, ...]]] = []
     for pred in decl.context:
-        if not isinstance(pred.type, ast.STyVar) or pred.type.name not in var_names:
-            raise StaticError(
-                "instance context must constrain the head's type variables",
-                pred.pos)
-        if not env.class_env.is_class(pred.class_name):
-            raise StaticError(f"unknown class {pred.class_name}", pred.pos)
-        arg_index = var_names.index(pred.type.name)
+        ptypes = pred.all_types
+        for pt in ptypes:
+            if not isinstance(pt, ast.STyVar) or pt.name not in var_names:
+                raise StaticError(
+                    "instance context must constrain the head's type "
+                    "variables", pred.pos)
         pinfo = env.class_env.classes.get(pred.class_name)
-        if pinfo is not None and pinfo.arity == 1 \
-                and not kind_eq(head_arg_kinds[arg_index],
-                                pinfo.param_kinds[0]):
-            raise KindError(
-                f"instance context {pred.class_name} {pred.type.name} "
-                f"constrains a variable of kind "
-                f"{kind_str(head_arg_kinds[arg_index])}, but class "
-                f"{pred.class_name} expects kind "
-                f"{kind_str(pinfo.param_kinds[0])}", pred.pos or decl.pos)
-        slot = per_arg[arg_index]
-        if pred.class_name in slot:
+        if pinfo is None:
+            raise StaticError(f"unknown class {pred.class_name}", pred.pos)
+        if pinfo.arity != len(ptypes):
             raise StaticError(
-                f"duplicate constraint {pred.class_name} {pred.type.name} "
-                f"in instance context", pred.pos)
-        slot.append(pred.class_name)
+                f"class {pred.class_name} has {pinfo.arity} parameter(s), "
+                f"but the constraint supplies {len(ptypes)} type(s)",
+                pred.pos)
+        rendered = " ".join([pred.class_name] + [pt.name for pt in ptypes])
+        if pinfo.arity > 1 and len(heads) == 1:
+            raise StaticError(
+                f"instance context {rendered}: the context of a "
+                f"single-parameter instance may hold only single-parameter "
+                f"constraints, but class {pred.class_name} has "
+                f"{pinfo.arity} parameters", pred.pos)
+        idxs = tuple(var_names.index(pt.name) for pt in ptypes)
+        for idx, want in zip(idxs, pinfo.param_kinds):
+            if not kind_eq(var_kinds[idx], want):
+                raise KindError(
+                    f"instance context {rendered} constrains a variable of "
+                    f"kind {kind_str(var_kinds[idx])}, but class "
+                    f"{pred.class_name} expects kind {kind_str(want)}",
+                    pred.pos or decl.pos)
+        if (pred.class_name, idxs) in preds:
+            raise StaticError(
+                f"duplicate constraint {rendered} in instance context",
+                pred.pos)
+        preds.append((pred.class_name, idxs))
     method_names = {m.name for m in class_info.methods}
     for binding in decl.bindings:
         if binding.name not in method_names:
@@ -677,140 +708,15 @@ def _process_instance_decl(env: StaticEnv, decl: ast.InstanceDecl) -> None:
                 f"method {binding.name} bound twice in instance", binding.pos)
         seen_bindings.add(binding.name)
     info = InstanceInfo(
-        tycon_name=tycon_name,
         class_name=decl.class_name,
-        dict_name=dict_var_name(decl.class_name, tycon_name),
-        context=per_arg,
+        heads=patterns,
+        var_kinds=var_kinds,
+        preds=preds,
         pos=decl.pos,
         defined_methods=MethodSet(b.name for b in decl.bindings),
-        head_arg_kinds=head_arg_kinds,
     )
     env.class_env.add_instance(info)
     env.instance_bodies.append((info, decl))
-
-
-def _process_mp_instance_decl(env: StaticEnv,
-                              decl: ast.InstanceDecl) -> None:
-    """Process ``instance ctx => C p1 ... pn`` for a multi-parameter
-    class: each head pattern is a bare type variable or a depth-1
-    constructor application over variables, with the variables distinct
-    across the *whole* head (so matching is pure binding, never
-    unification).  The CHR confluence/termination checks run before the
-    instance is registered."""
-    class_info = env.class_env.class_info(decl.class_name)
-    heads = decl.all_heads
-    if class_info.arity != len(heads):
-        raise StaticError(
-            f"class {decl.class_name} has {class_info.arity} parameter(s), "
-            f"but the instance head supplies {len(heads)} type(s)", decl.pos)
-    var_names: List[str] = []
-    var_kinds: List[Kind] = []
-    patterns: List[Tuple[Optional[str], Tuple[int, ...]]] = []
-    for head in heads:
-        if isinstance(head, ast.STyVar):
-            if head.name in var_names:
-                raise StaticError(
-                    "instance head variables must be distinct across the "
-                    "whole head", head.pos or decl.pos)
-            var_names.append(head.name)
-            var_kinds.append(STAR)
-            patterns.append((None, (len(var_names) - 1,)))
-            continue
-        args: List[ast.SType] = []
-        sty = head
-        while isinstance(sty, ast.STyApp):
-            args.append(sty.arg)
-            sty = sty.fn
-        args.reverse()
-        if not isinstance(sty, ast.STyCon):
-            raise StaticError(
-                "instance head must be a type constructor applied to type "
-                "variables", head.pos or decl.pos)
-        kind = env.kind_env.lookup(sty.name)
-        if kind is None and sty.name.startswith("(,"):
-            kind = env.tycon(sty.name).kind
-        if kind is None:
-            raise StaticError(f"unknown type constructor {sty.name}",
-                              head.pos or decl.pos)
-        if kind_arity(kind) != len(args):
-            raise KindError(
-                f"instance head {sty.name} expects {kind_arity(kind)} type "
-                f"argument(s), got {len(args)}", decl.pos)
-        arg_kinds: List[Kind] = []
-        k = kind
-        while isinstance(k, KFun):
-            arg_kinds.append(k.arg)
-            k = k.res
-        idxs: List[int] = []
-        for arg, ak in zip(args, arg_kinds):
-            if not isinstance(arg, ast.STyVar):
-                raise StaticError(
-                    "instance head arguments must be plain type variables "
-                    "(e.g. 'instance Convert a b => Convert [a] [b]')",
-                    head.pos or decl.pos)
-            if arg.name in var_names:
-                raise StaticError(
-                    "instance head variables must be distinct across the "
-                    "whole head", head.pos or decl.pos)
-            var_names.append(arg.name)
-            var_kinds.append(default_kind(ak))
-            idxs.append(len(var_names) - 1)
-        patterns.append((sty.name, tuple(idxs)))
-    context: List[Tuple] = []
-    seen_context: set = set()
-    for pred in decl.context:
-        if not env.class_env.is_class(pred.class_name):
-            raise StaticError(f"unknown class {pred.class_name}", pred.pos)
-        ptypes = pred.all_types
-        pinfo = env.class_env.classes.get(pred.class_name)
-        if pinfo is not None and pinfo.arity != len(ptypes):
-            raise StaticError(
-                f"class {pred.class_name} has {pinfo.arity} parameter(s), "
-                f"but the constraint supplies {len(ptypes)} type(s)",
-                pred.pos)
-        idxs = []
-        for pt in ptypes:
-            if not isinstance(pt, ast.STyVar) or pt.name not in var_names:
-                raise StaticError(
-                    "instance context must constrain the head's type "
-                    "variables", pred.pos)
-            idxs.append(var_names.index(pt.name))
-        key = (pred.class_name, tuple(idxs))
-        if key in seen_context:
-            raise StaticError(
-                f"duplicate constraint {pred.class_name} in instance "
-                f"context", pred.pos)
-        seen_context.add(key)
-        if len(idxs) > 1:
-            context.append(("mp", pred.class_name, tuple(idxs)))
-        else:
-            context.append(("sp", pred.class_name, idxs[0]))
-    method_names = {m.name for m in class_info.methods}
-    seen_bindings: set = set()
-    for binding in decl.bindings:
-        if binding.name not in method_names:
-            raise StaticError(
-                f"'{binding.name}' is not a method of class "
-                f"{decl.class_name}", binding.pos)
-        if binding.name in seen_bindings:
-            raise StaticError(
-                f"method {binding.name} bound twice in instance",
-                binding.pos)
-        seen_bindings.add(binding.name)
-    info = MPInstanceInfo(
-        class_name=decl.class_name,
-        patterns=patterns,
-        n_vars=len(var_names),
-        var_kinds=var_kinds,
-        context=context,
-        dict_name=mp_dict_var_name(decl.class_name, mp_head_key(patterns)),
-        pos=decl.pos,
-        defined_methods=MethodSet(b.name for b in decl.bindings),
-    )
-    from repro.solver.rules import check_mp_instance  # cycle avoidance
-    check_mp_instance(env.class_env, info)
-    env.class_env.add_mp_instance(info)
-    env.mp_instance_bodies.append((info, decl))
 
 
 def _process_default_decl(env: StaticEnv, decl: ast.DefaultDecl) -> None:
@@ -822,6 +728,3 @@ def _process_default_decl(env: StaticEnv, decl: ast.DefaultDecl) -> None:
         names.append(sty.name)
     env.class_env.default_types = names
 
-
-def impl_name_for(info: InstanceInfo, method: str) -> str:
-    return method_impl_name(info.class_name, info.tycon_name, method)

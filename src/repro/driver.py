@@ -352,13 +352,12 @@ class CompiledProgram:
             lines.append(header + " where")
             for method in cls.methods:
                 lines.append(f"  {method.name} :: {method.scheme}")
-            instances = [
-                ([f"{c} a{i}" for i, cs in enumerate(inst.context)
-                  for c in cs], inst.tycon_name)
-                for inst in self.class_env.instances_of_class(name)]
-            instances += [(inst.context_strs(), inst.head_str())
-                          for inst in self.class_env.mp_instances_of(name)]
-            for preds, head in instances:
+            for inst in self.class_env.instances_of_class(name):
+                preds = inst.pred_strs()
+                # At arity 1 the head is the §4 view: the type
+                # constructor alone.
+                head = inst.tycon_name if inst.arity == 1 \
+                    else inst.head_str()
                 ctx = ""
                 if preds:
                     ctx = (f"({', '.join(preds)}) => " if len(preds) > 1

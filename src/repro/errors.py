@@ -151,7 +151,8 @@ class StaticError(ReproError):
 
 class DuplicateInstanceError(StaticError):
     """Two instance declarations for the same (class, type constructor)
-    pair — section 4 requires instances to be unique."""
+    pair — section 4 requires instances to be unique.  This is the
+    overlap check at class arity 1."""
 
     code = "static.duplicate-instance"
 
@@ -159,7 +160,7 @@ class DuplicateInstanceError(StaticError):
 class SolverOverlapError(StaticError):
     """Two instance simplification rules for the same class overlap:
     some constraint would match both, so CHR resolution loses confluence
-    (Bottu et al.).  Single-parameter overlap is caught earlier as
+    (Bottu et al.).  Single-parameter overlap is reported as
     :class:`DuplicateInstanceError`; this covers the multi-parameter
     head space."""
 
@@ -221,9 +222,10 @@ class LinkError(ModuleError):
 
 
 class DuplicateInstanceLinkError(LinkError):
-    """Two modules define instances for the same (class, type
-    constructor) pair — rejected at link time for coherence, naming both
-    defining modules."""
+    """Two modules define overlapping instances — at arity 1, for the
+    same (class, type constructor) pair — rejected at link time for
+    coherence, naming both defining modules.  ``tycon_name`` is the
+    later instance's head name (``InstanceInfo.head_name``)."""
 
     code = "module.link.duplicate-instance"
 

@@ -182,12 +182,14 @@ def _apply_interface(static_env: StaticEnv, inferencer: Inferencer,
             ce.method_owner[method.name] = name
             prov.methods[method.name] = iface.module
     for inst in iface.instances:
-        key = (inst.tycon_name, inst.class_name)
-        if key in ce.instances:
+        clash = ce.overlapping_instance(inst)
+        if clash is not None:
             raise DuplicateInstanceLinkError(
-                inst.class_name, inst.tycon_name,
-                prov.instances.get(key, "the prelude"), iface.module,
-                inst.pos)
+                inst.class_name, inst.head_name,
+                prov.instances.get((clash.head_name, clash.class_name),
+                                   "the prelude"),
+                iface.module, inst.pos)
+        key = (inst.head_name, inst.class_name)
         ce.instances[key] = inst
         prov.instances[key] = iface.module
 
@@ -204,23 +206,19 @@ def _extern_names(dep_interfaces: Sequence[ModuleInterface],
     behind imported classes and instances — dictionary constructors,
     per-method implementations, and compiled default methods.  The
     core lint treats these as in scope (they are bound at link time)."""
-    from repro.util.names import (
-        default_method_name,
-        dict_var_name,
-        method_impl_name,
-    )
+    from repro.util.names import default_method_name, method_impl_name
     names = set(visible)
     for iface in dep_interfaces:
         for cls_name, cinfo in iface.classes.items():
             for m in cinfo.methods:
                 names.add(default_method_name(cls_name, m.name))
         for inst in iface.instances:
-            names.add(dict_var_name(inst.class_name, inst.tycon_name))
+            names.add(inst.dict_name)
             cinfo = class_env.classes.get(inst.class_name)
             if cinfo is not None:
                 for m in cinfo.methods:
                     names.add(method_impl_name(
-                        inst.class_name, inst.tycon_name, m.name))
+                        inst.class_name, inst.head_name, m.name))
     return tuple(sorted(names))
 
 
@@ -431,8 +429,8 @@ def _exported_schemes(msrc: ModuleSource, program: Any,
 @dataclass
 class OrphanInstanceWarning:
     """An instance declared in a module defining neither the class nor
-    the data type — legal (the link-time coherence check still holds)
-    but fragile, so the link reports it."""
+    a data type of its head — legal (the link-time coherence check
+    still holds) but fragile, so the link reports it."""
 
     class_name: str
     tycon_name: str
@@ -486,10 +484,10 @@ def link_modules(artifacts: Sequence[ModuleArtifact],
             inferencer.env.bind(name, SchemeEntry(scheme))
             inferencer.schemes[name] = scheme
         for inst in iface.instances:
-            if inst.class_name not in iface.classes and \
-                    inst.tycon_name not in iface.data_types:
+            if inst.class_name not in iface.classes and not any(
+                    tycon in iface.data_types for tycon, _ in inst.heads):
                 warnings.append(OrphanInstanceWarning(
-                    inst.class_name, inst.tycon_name, iface.module))
+                    inst.class_name, inst.head_name, iface.module))
         warnings.extend(art.warnings)
         core.extend(art.core)
         for binding in art.core:

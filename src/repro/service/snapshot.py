@@ -84,8 +84,6 @@ def _fork_class_env(src: ClassEnv) -> ClassEnv:
     out = ClassEnv(layout=src.layout, single_slot_opt=src.single_slot_opt)
     out.classes = dict(src.classes)
     out.instances = dict(src.instances)
-    out.mp_instances = {cls: list(infos)
-                        for cls, infos in src.mp_instances.items()}
     out.method_owner = dict(src.method_owner)
     out.default_types = list(src.default_types)
     return out
@@ -104,7 +102,6 @@ def _fork_static_env(src: StaticEnv, class_env: ClassEnv) -> StaticEnv:
     out.data_cons = dict(src.data_cons)
     out._tycons = dict(src._tycons)
     out.instance_bodies = list(src.instance_bodies)
-    out.mp_instance_bodies = list(src.mp_instance_bodies)
     out.class_bodies = dict(src.class_bodies)
     out.synonyms = dict(src.synonyms)
     return out

@@ -26,7 +26,8 @@ located :class:`~repro.errors.ResourceLimitError` like every other
 budget.
 
 Multi-parameter constraints never reach the engine: they stay on
-placeholders and resolve structurally (:mod:`repro.solver.rules`).
+placeholders and resolve through the instance table's one matcher
+(:meth:`~repro.core.classes.ClassEnv.match_instance`).
 """
 
 from __future__ import annotations

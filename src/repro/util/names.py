@@ -39,17 +39,20 @@ class NameSupply:
         self._counters.clear()
 
 
-def dict_var_name(class_name: str, tycon_name: str) -> str:
+def dict_var_name(class_name: str, head_name: str) -> str:
     """The dictionary variable for ``instance ... => C (T ...)`` (section 4).
 
     The paper writes these as ``d-Eq-List``; we use ``d$Eq$List`` so the
     name survives our lexer's identifier rules when pretty printed and
-    re-parsed in tests.
+    re-parsed in tests.  *head_name* is the instance's
+    :attr:`~repro.core.classes.InstanceInfo.head_name`: the type
+    constructor, or one space-separated component per parameter of a
+    multi-parameter class (``d$Convert$Int$Float``).
     """
-    return f"d${class_name}${_tidy(tycon_name)}"
+    return f"d${class_name}${_tidy_head(head_name)}"
 
 
-def method_impl_name(class_name: str, tycon_name: str, method: str) -> str:
+def method_impl_name(class_name: str, head_name: str, method: str) -> str:
     """The per-instance implementation function for one method.
 
     When the overloading of a method is resolved at compile time, the
@@ -57,7 +60,7 @@ def method_impl_name(class_name: str, tycon_name: str, method: str) -> str:
     dictionary ("the type specific version of the method is called
     directly", section 4).
     """
-    return f"impl${class_name}${_tidy(tycon_name)}${_tidy(method)}"
+    return f"impl${class_name}${_tidy_head(head_name)}${_tidy(method)}"
 
 
 def selector_name(class_name: str, method: str) -> str:
@@ -81,27 +84,6 @@ def specialized_name(function: str, signature: str) -> str:
     return f"{function}@{signature}"
 
 
-def mp_head_key(patterns) -> str:
-    """The head signature of a multi-parameter instance, one component
-    per class parameter: the constructor's tidied name, or ``_`` for a
-    bare-variable position (no tycon is literally named ``_``, so keys
-    cannot collide with single-parameter instance names)."""
-    return "$".join(_tidy(tycon) if tycon is not None else "_"
-                    for tycon, _ in patterns)
-
-
-def mp_dict_var_name(class_name: str, head_key: str) -> str:
-    """The dictionary variable for a multi-parameter instance, e.g.
-    ``d$Convert$Int$Float`` for ``instance Convert Int Float``."""
-    return f"d${class_name}${head_key}"
-
-
-def mp_method_impl_name(class_name: str, head_key: str, method: str) -> str:
-    """The implementation function for one method of a multi-parameter
-    instance (the analogue of :func:`method_impl_name`)."""
-    return f"impl${class_name}${head_key}${_tidy(method)}"
-
-
 _SYMBOL_NAMES = {
     "=": "eq",
     "<": "lt",
@@ -122,6 +104,10 @@ _SYMBOL_NAMES = {
     "#": "hash",
     "?": "what",
 }
+
+
+def _tidy_head(head_name: str) -> str:
+    return "$".join(_tidy(part) for part in head_name.split(" "))
 
 
 def _tidy(name: str) -> str:

@@ -8,7 +8,6 @@ from repro.core.static import (
     StaticEnv,
     analyze_program,
     convert_signature,
-    decompose_instance_head,
 )
 from repro.core.types import scheme_str
 from repro.errors import (
@@ -220,9 +219,12 @@ class TestClassesAndInstances:
         info = env.class_env.get_instance("Int", "Eq")
         assert info.defined_methods == frozenset({"=="})
 
-    def test_decompose_instance_head(self):
-        q = parse_type("[a]")
-        assert decompose_instance_head(q.type) == ("[]", ["a"])
+    def test_instance_head_pattern(self):
+        env = analyze_with_classes(
+            "instance Eq a => Eq [a] where\n  x == y = True")
+        info = env.class_env.get_instance("[]", "Eq")
+        assert info.heads == [("[]", (0,))]
+        assert info.preds == [("Eq", (0,))]
 
 
 class TestSignatures:
