@@ -14,6 +14,7 @@ import pytest
 
 from benchmarks.conftest import record
 from repro.core.classes import ClassEnv, ClassInfo, InstanceInfo
+from repro.core.kinds import STAR
 from repro.core.types import T_INT, TyVar, list_type
 from repro.core.unify import Unifier
 
@@ -21,8 +22,9 @@ from repro.core.unify import Unifier
 def env() -> ClassEnv:
     e = ClassEnv()
     e.add_class(ClassInfo("Eq", []))
-    e.add_instance(InstanceInfo("Int", "Eq", "dI", []))
-    e.add_instance(InstanceInfo("[]", "Eq", "dL", [["Eq"]]))
+    e.add_instance(InstanceInfo("Eq", [("Int", ())], []))
+    e.add_instance(InstanceInfo("Eq", [("[]", (0,))], [STAR],
+                                [("Eq", (0,))]))
     return e
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
 from repro.core.classes import ClassEnv, ClassInfo, InstanceInfo
+from repro.core.kinds import STAR
 from repro.core.types import (
     T_BOOL,
     T_CHAR,
@@ -36,11 +37,13 @@ from repro.errors import ReproError
 def class_env():
     env = ClassEnv()
     env.add_class(ClassInfo("Eq", []))
-    env.add_instance(InstanceInfo("Int", "Eq", "dI", []))
-    env.add_instance(InstanceInfo("Char", "Eq", "dC", []))
-    env.add_instance(InstanceInfo("Bool", "Eq", "dB", []))
-    env.add_instance(InstanceInfo("[]", "Eq", "dL", [["Eq"]]))
-    env.add_instance(InstanceInfo("(,)", "Eq", "dT", [["Eq"], ["Eq"]]))
+    env.add_instance(InstanceInfo("Eq", [("Int", ())], []))
+    env.add_instance(InstanceInfo("Eq", [("Char", ())], []))
+    env.add_instance(InstanceInfo("Eq", [("Bool", ())], []))
+    env.add_instance(InstanceInfo("Eq", [("[]", (0,))], [STAR],
+                                  [("Eq", (0,))]))
+    env.add_instance(InstanceInfo("Eq", [("(,)", (0, 1))], [STAR, STAR],
+                                  [("Eq", (0,)), ("Eq", (1,))]))
     return env
 
 

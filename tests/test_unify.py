@@ -8,6 +8,7 @@ environment and leave no residual context; with ``[b]`` it must leave
 import pytest
 
 from repro.core.classes import ClassEnv, ClassInfo, InstanceInfo
+from repro.core.kinds import STAR
 from repro.core.types import (
     T_BOOL,
     T_INT,
@@ -32,14 +33,16 @@ def make_class_env() -> ClassEnv:
     env.add_class(ClassInfo("Text", []))
     env.add_class(ClassInfo("Ord", ["Eq"]))
     env.add_class(ClassInfo("Num", ["Eq", "Text"]))
-    env.add_instance(InstanceInfo("Int", "Eq", "d$Eq$Int", []))
-    env.add_instance(InstanceInfo("Int", "Ord", "d$Ord$Int", []))
-    env.add_instance(InstanceInfo("Int", "Text", "d$Text$Int", []))
-    env.add_instance(InstanceInfo("Int", "Num", "d$Num$Int", []))
-    env.add_instance(InstanceInfo("[]", "Eq", "d$Eq$List", [["Eq"]]))
-    env.add_instance(InstanceInfo("[]", "Ord", "d$Ord$List", [["Ord"]]))
-    env.add_instance(InstanceInfo(
-        "(,)", "Eq", "d$Eq$Tuple2", [["Eq"], ["Eq"]]))
+    env.add_instance(InstanceInfo("Eq", [("Int", ())], []))
+    env.add_instance(InstanceInfo("Ord", [("Int", ())], []))
+    env.add_instance(InstanceInfo("Text", [("Int", ())], []))
+    env.add_instance(InstanceInfo("Num", [("Int", ())], []))
+    env.add_instance(InstanceInfo("Eq", [("[]", (0,))], [STAR],
+                                  [("Eq", (0,))]))
+    env.add_instance(InstanceInfo("Ord", [("[]", (0,))], [STAR],
+                                  [("Ord", (0,))]))
+    env.add_instance(InstanceInfo("Eq", [("(,)", (0, 1))], [STAR, STAR],
+                                  [("Eq", (0,)), ("Eq", (1,))]))
     return env
 
 
