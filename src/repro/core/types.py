@@ -319,9 +319,7 @@ class Pred:
     A multi-parameter constraint ``C t1 ... tn`` carries all its types
     in ``types`` (and ``type`` aliases ``types[0]`` so single-parameter
     consumers keep working); ``types`` is ``None`` for the ordinary
-    single-parameter case.  Read it via ``getattr(pred, "types", None)``
-    — slot classes round-trip through pickle without ``__init__``, so
-    predicates from older interface files may lack the slot.
+    single-parameter case.
     """
 
     __slots__ = ("class_name", "type", "types")
@@ -380,7 +378,7 @@ class Scheme:
         new_vars = [fresh(k, level) for k in self.kinds]
         preds_out: List[Tuple[str, TyVar]] = []
         for pred in self.preds:
-            mp = getattr(pred, "types", None)
+            mp = pred.types
             if mp is not None:
                 # Multi-parameter constraint: the types ride on the
                 # placeholder (never on a variable's context — the §5
@@ -518,7 +516,7 @@ def scheme_str(scheme: Scheme) -> str:
 
     preds = []
     for pred in scheme.preds:
-        mp = getattr(pred, "types", None)
+        mp = pred.types
         if mp is not None:
             args = " ".join(go(t, 2) for t in mp)
             preds.append(f"{pred.class_name} {args}")

@@ -14,8 +14,11 @@ from a fresh compile.
 The in-memory tier is a bounded LRU; an optional on-disk tier persists
 pickled programs under a cache directory (default
 ``~/.cache/repro/``) keyed by the same digest, surviving process
-restarts.  Hit/miss/eviction counters are kept for the server's
-``stats`` request.
+restarts.  A disk entry is framed like a ``.ri`` interface file: a magic
+string, the format-version byte, then the pickle — an entry written by
+another format version reads as a miss, never as a record of the wrong
+shape.  Hit/miss/eviction counters are kept for the server's ``stats``
+request.
 """
 
 from __future__ import annotations
@@ -40,6 +43,14 @@ from repro.options import CompilerOptions, options_fingerprint
 #: default on-disk location (used when ``cache_dir`` is the sentinel
 #: string ``"default"``; an explicit path wins; ``""`` disables disk)
 DEFAULT_CACHE_DIR = os.path.join(os.path.expanduser("~"), ".cache", "repro")
+
+#: version of the compiler records pickled to disk — disk-tier entries
+#: and ``.ri`` interfaces (:mod:`repro.modules.interface`) alike.  Bump
+#: it whenever a pickled record changes shape.
+FORMAT_VERSION = 5
+
+#: the head of every disk-tier entry: magic string, format version
+DISK_HEADER = b"repro-cc" + bytes([FORMAT_VERSION])
 
 
 def source_hash(source: str) -> str:
@@ -171,6 +182,8 @@ class CompileCache:
         path = self._disk_path(key)
         try:
             with open(path, "rb") as handle:
+                if handle.read(len(DISK_HEADER)) != DISK_HEADER:
+                    raise ValueError("written by another format version")
                 program = pickle.load(handle)
             try:
                 # Refresh the mtime so the budget GC evicts in LRU
@@ -200,6 +213,7 @@ class CompileCache:
             fd, tmp = tempfile.mkstemp(dir=self.disk_dir, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as handle:
+                    handle.write(DISK_HEADER)
                     pickle.dump(program, handle,
                                 protocol=pickle.HIGHEST_PROTOCOL)
                 os.replace(tmp, path)  # atomic publish

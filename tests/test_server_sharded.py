@@ -284,8 +284,10 @@ class TestWorkerPool:
             entries = [f for f in os.listdir(str(tmp_path))
                        if f.endswith(".pkl")]
             import pickle
+            from repro.service.cache import DISK_HEADER
             for name in entries:
                 with open(os.path.join(str(tmp_path), name), "rb") as fh:
+                    assert fh.read(len(DISK_HEADER)) == DISK_HEADER
                     pickle.load(fh)  # must not raise
             # And the respawned worker reads the shared tier fine.
             r = pool.submit({"op": "compile", "source": PROGRAM},

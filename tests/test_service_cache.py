@@ -10,6 +10,8 @@ import pytest
 
 from repro import CompilerOptions
 from repro.service.cache import (
+    DISK_HEADER,
+    FORMAT_VERSION,
     CompileCache,
     cache_key,
     resolve_cache_dir,
@@ -125,7 +127,26 @@ class TestDiskTier:
         cache.put("abc123", ["payload"])
         path = os.path.join(d, "abc123.pkl")
         with open(path, "rb") as handle:
+            assert handle.read(len(DISK_HEADER)) == DISK_HEADER
             assert pickle.load(handle) == ["payload"]
+
+    @pytest.mark.parametrize("header", [
+        b"",  # an entry written before disk entries carried a version
+        b"repro-cc" + bytes([FORMAT_VERSION - 1]),
+    ], ids=["unversioned", "older-version"])
+    def test_entry_of_another_format_is_a_miss(self, tmp_path, header):
+        # A pickle that loads cleanly but was written for other record
+        # shapes must not come back as a hit: it is a miss, counted,
+        # and removed so the next put rebuilds it.
+        d = str(tmp_path)
+        path = os.path.join(d, "old.pkl")
+        with open(path, "wb") as handle:
+            handle.write(header + pickle.dumps(["stale"]))
+        cache = CompileCache(capacity=4, disk_dir=d)
+        assert cache.get("old") is None
+        assert cache.stats.disk_errors == 1
+        assert cache.stats.misses == 1
+        assert not os.path.exists(path)
 
     def test_clear_disk(self, tmp_path):
         d = str(tmp_path)
