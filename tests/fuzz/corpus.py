@@ -223,4 +223,29 @@ XMODULE_CORPUS: List[Tuple[str, List[Tuple[str, str]]]] = [
         ("Main", "module Main where\nimport B\n"
                  "main = bump2 (40 :: Int)\n"),
     ]),
+    ("xm_mptc_import", [
+        # A multi-parameter instance used from an importing module.
+        ("Conv", "module Conv where\n"
+                 "class Convert a b where\n"
+                 "  convert :: a -> b\n"
+                 "instance Convert Int Float where\n"
+                 "  convert x = fromIntegral x\n"),
+        ("Main", "module Main where\nimport Conv\n"
+                 "main :: Float\n"
+                 "main = convert (3 :: Int)\n"),
+    ]),
+    ("xm_mptc_duplicate_instance", [
+        # Sibling modules declare the same multi-parameter instance:
+        # the link's coherence check must name both.
+        ("Conv", "module Conv where\n"
+                 "class Convert a b where\n"
+                 "  convert :: a -> b\n"),
+        ("A", "module A where\nimport Conv\n"
+              "instance Convert Int Float where\n"
+              "  convert x = fromIntegral x\n"),
+        ("B", "module B where\nimport Conv\n"
+              "instance Convert Int Float where\n"
+              "  convert x = fromIntegral x\n"),
+        ("Main", "module Main where\nimport A\nimport B\nmain = 1\n"),
+    ]),
 ]

@@ -205,6 +205,12 @@ class TestXModuleFuzz:
         outcome, _ = check_modules(by_name["xm_poly_recursion_budget"],
                                    lint_snapshot, options)
         assert outcome == "ok"  # budget cut the cascade, value intact
+        outcome, _ = check_modules(by_name["xm_mptc_import"],
+                                   lint_snapshot, options)
+        assert outcome == "ok"
+        _, code = check_modules(by_name["xm_mptc_duplicate_instance"],
+                                lint_snapshot, options)
+        assert code == "module.link.duplicate-instance"
 
     def test_generator_is_deterministic(self):
         a = [ProgramGen(11).multi_module() for _ in range(20)]

@@ -356,6 +356,63 @@ class TestLinkCoherence:
         assert program.run("main") == "a"
 
 
+CONV = ("module Conv where\nclass Convert a b where\n"
+        "  convert :: a -> b\n")
+CONV_INT_FLOAT = ("instance Convert Int Float where\n"
+                  "  convert x = fromIntegral x\n")
+
+
+class TestMultiParamInstancesAcrossModules:
+    """A multi-parameter instance travels in its module's interface and
+    meets the link's coherence check like any other instance."""
+
+    def test_imported_instance_resolves(self):
+        graph = graph_of(("Conv", CONV + CONV_INT_FLOAT),
+                         ("Main", "module Main where\nimport Conv\n"
+                                  "main :: Float\n"
+                                  "main = convert (3 :: Int)\n"))
+        program = ModuleBuilder(CompilerOptions(lint=True)).build(
+            graph).program
+        assert program.run("main") == 3.0
+
+    def test_interface_round_trips_the_instance(self, tmp_path):
+        art = compile_module(
+            scan_module_source(CONV + CONV_INT_FLOAT, "<Conv>"), [])
+        assert "instance Convert Int Float = d$Convert$Int$Float [] @ []" \
+            in art.interface.render().splitlines()
+        path = interface_path(str(tmp_path), "Conv")
+        save_interface(art.interface, path)
+        loaded = load_interface(path)
+        assert [i.head_str() for i in loaded.instances] == ["Int Float"]
+        assert loaded.fingerprint == art.interface.fingerprint
+
+    def test_duplicate_instance_names_both_modules(self):
+        graph = graph_of(
+            ("Conv", CONV),
+            ("A", "module A where\nimport Conv\n" + CONV_INT_FLOAT),
+            ("B", "module B where\nimport Conv\n" + CONV_INT_FLOAT),
+            ("Main", "module Main where\nimport A\nimport B\nmain = 1\n"))
+        with pytest.raises(DuplicateInstanceLinkError) as exc:
+            ModuleBuilder().build(graph)
+        message = str(exc.value)
+        assert "'A'" in message and "'B'" in message
+        assert exc.value.code == "module.link.duplicate-instance"
+
+    def test_overlapping_heads_are_a_link_error(self):
+        # Not the same head, but one goal (Convert Int Float) would
+        # match both: the link sees every rule, not only equal keys.
+        graph = graph_of(
+            ("Conv", CONV),
+            ("A", "module A where\nimport Conv\n"
+                  "instance Convert Int b where\n"
+                  "  convert x = error \"any\"\n"),
+            ("B", "module B where\nimport Conv\n" + CONV_INT_FLOAT),
+            ("Main", "module Main where\nimport A\nmain = 1\n"))
+        with pytest.raises(DuplicateInstanceLinkError) as exc:
+            ModuleBuilder().build(graph)
+        assert "'A'" in str(exc.value) and "'B'" in str(exc.value)
+
+
 # ---------------------------------------------------------------------------
 # Visibility: import lists, re-exports, shadowing
 # ---------------------------------------------------------------------------
