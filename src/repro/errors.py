@@ -19,18 +19,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-#: Tab stop used when quoting source lines (matches the lexer's layout
-#: rule and every mainstream terminal).
+#: Tab stop used when quoting source lines in :meth:`ReproError.pretty`
+#: (every mainstream terminal's).  Only the quote expands tabs: the
+#: lexer counts a tab as one column, so ``\ty`` puts ``y`` at column 2.
 TAB_WIDTH = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SourcePos:
     """A position in a source file: 1-based line and column."""
 
     line: int
     column: int
     filename: str = "<input>"
+
+    def __init__(self, line: int, column: int,
+                 filename: str = "<input>") -> None:
+        # The lexer makes one per token: filling the instance dict
+        # directly skips the frozen dataclass's three
+        # ``object.__setattr__`` calls.  The dict keeps the field
+        # order, so pickles are byte-identical.
+        fields = self.__dict__
+        fields["line"] = line
+        fields["column"] = column
+        fields["filename"] = filename
 
     def __str__(self) -> str:
         return f"{self.filename}:{self.line}:{self.column}"

@@ -1,10 +1,20 @@
 """Lexer tests: tokens, literals, comments, and the layout algorithm."""
 
+import pathlib
+import random
+import re
+
 import pytest
 
 from repro.errors import LexError
+from repro.lang import lexer
 from repro.lang.lexer import lex, scan
 from repro.lang.tokens import TokenType
+from repro.prelude.source import PRELUDE_SOURCE
+from tests import reference_lexer
+from tests.fuzz.corpus import ADVERSARIAL_CORPUS, XMODULE_CORPUS
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def kinds(tokens):
@@ -121,6 +131,22 @@ class TestScanner:
         with pytest.raises(LexError):
             scan("«")
 
+    def test_cased_symbol_is_unexpected(self):
+        # Upper/lower case but not alphanumeric: starts no identifier.
+        for ch in "Ⓐⓐ":
+            with pytest.raises(LexError) as info:
+                scan(f"x = {ch}")
+            assert info.value.message == f"unexpected character {ch!r}"
+            assert (info.value.pos.line, info.value.pos.column) == (1, 5)
+
+    def test_tab_is_one_column(self):
+        toks = scan("\ty\n        z")
+        assert (toks[0].pos.line, toks[0].pos.column) == (1, 2)
+        assert (toks[1].pos.line, toks[1].pos.column) == (2, 9)
+
+    def test_trailing_blanks(self):
+        assert values(scan("x" + " \t\r" * 20000)) == ["x"]
+
 
 class TestLayout:
     def render(self, source):
@@ -205,3 +231,104 @@ class TestLayout:
     def test_eof_closes_all_blocks(self):
         out = self.render("f x = y\n  where y = case x of\n          A -> 1")
         assert out[-3:] == ["~}", "~}", "~}"]
+
+
+# --------------------------------------------------------------------------
+# Differential: the compiled-pattern lexer against the character scanner
+# --------------------------------------------------------------------------
+
+#: Pieces random texts are drawn from: every lexeme class, the non-ASCII
+#: letters and digits whose ``str`` predicates decide a token (``ǅ`` is
+#: titlecase, ``²`` a digit that is not decimal, ``Ⅻ`` an upper-case
+#: number, ``Ⓐ`` a cased non-alphanumeric), a blank the scanner does not
+#: skip (``\x0b``), comment and float corner cases, literals and their
+#: escapes (a raw newline in quotes too), and the layout keywords.
+PIECES = [
+    "é", "ǅ", "٣", "²", "Ⅻ", "Ⓐ", "ⓐ", "«", "\t", "\r", "\x0b", "\n",
+    " ", "    ", "{-", "-}", "--", "-->", "---", "--|", "1.5e", "1.5e+",
+    "1.5E-3", "1.5", "1.", "42", "0", "e", "E", "x", "y'", "Foo", "_",
+    "_a", "'a'", r"'\n'", "'\n'", r"'\q'", "'\\", "'", "'''", '"',
+    r'"a\tb\"c"', '"\\', r'"\0"', '"ab\n"', "\\", "let", "in", "where",
+    "of", "case", "module", "import", "(", ")", "[", "]", "{", "}", ",",
+    ";", "`", "=", "::", "=>", "->", "+", ".", ":", "|", "@", "~", "..",
+]
+
+
+#: Layout corners no corpus program reaches: a ')' inside explicit
+#: braces takes no bracket depth below zero, and an 'in' whose let-block
+#: a bracket already closed is absorbed even while another let is open.
+LAYOUT_CORNERS = [
+    "f = x where\n y = let { ) } in (z)",
+    "f = x where\n y = let { ) } ( ) z",
+    "v = (let a = 1) + let b = a in b",
+    "v = [let a = 1] ++ let b = a in b",
+]
+
+
+def _corpus():
+    texts = [PRELUDE_SOURCE] + LAYOUT_CORNERS
+    texts += [src for _name, src in ADVERSARIAL_CORPUS]
+    texts += [src for _name, specs in XMODULE_CORPUS for _m, src in specs]
+    for path in sorted((ROOT / "examples").rglob("*")):
+        if path.suffix in (".mhs", ".py"):
+            texts.append(path.read_text(encoding="utf-8"))
+    return texts
+
+
+def _random_texts(rng, count):
+    for _ in range(count):
+        yield "".join(rng.choice(PIECES) for _ in range(rng.randint(0, 14)))
+
+
+def _mutated_texts(rng, corpus, count):
+    """Windows of the corpus with pieces inserted, spans deleted and
+    characters replaced."""
+    for _ in range(count):
+        src = rng.choice(corpus)
+        start = rng.randint(0, len(src))
+        text = src[start:start + rng.randint(1, 120)]
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randint(0, len(text))
+            op = rng.randrange(3)
+            if op == 0:
+                text = text[:i] + rng.choice(PIECES) + text[i:]
+            elif op == 1:
+                text = text[:i] + text[i + rng.randint(1, 4):]
+            else:
+                text = text[:i] + rng.choice(PIECES)[0] + text[i + 1:]
+        yield text
+
+
+def _assert_same(text):
+    for ours, ref in ((lexer.scan, reference_lexer.scan),
+                      (lexer.lex, reference_lexer.lex)):
+        got = reference_lexer.outcome(ours, text, "T.mhs")
+        want = reference_lexer.outcome(ref, text, "T.mhs")
+        assert got == want, (ours.__name__, text)
+
+
+class TestDifferential:
+    def test_corpus_lexes_like_the_reference(self):
+        for text in _corpus():
+            _assert_same(text)
+
+    def test_random_and_mutated_texts_lex_like_the_reference(self):
+        rng = random.Random(20)
+        corpus = _corpus()
+        texts = list(_random_texts(rng, 14000))
+        texts += _mutated_texts(rng, corpus, 7000)
+        errors = 0
+        for text in texts:
+            _assert_same(text)
+            errors += isinstance(reference_lexer.outcome(lex, text), tuple)
+        # Both outcomes are exercised in bulk.
+        assert 2000 < errors < len(texts) - 2000
+
+    def test_digit_class_is_str_isdigit(self):
+        every = "".join(map(chr, range(0x110000)))
+        digits = set(re.findall(lexer._DIGIT, every))
+        assert digits == {ch for ch in every if ch.isdigit()}
+        # ``\w`` continues an identifier exactly where the reference's
+        # ``isalnum() or in "_'"`` does.
+        word = set(re.findall(r"\w", every))
+        assert word == {ch for ch in every if ch.isalnum()} | {"_"}
