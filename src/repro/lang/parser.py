@@ -127,8 +127,13 @@ class Parser:
                 tok.pos) from None
 
     def peek(self, ahead: int = 0) -> Token:
-        idx = min(self.index + ahead, len(self.tokens) - 1)
-        return self.tokens[idx]
+        # ``index`` never passes the closing EOF token (see advance), so
+        # only a lookahead can run off the end; it reads EOF there.
+        if not ahead:
+            return self.tokens[self.index]
+        idx = self.index + ahead
+        tokens = self.tokens
+        return tokens[idx] if idx < len(tokens) else tokens[-1]
 
     def advance(self) -> Token:
         tok = self.tokens[self.index]
@@ -416,6 +421,11 @@ class Parser:
         return preds
 
     def _context_ahead(self) -> bool:
+        """Whether a ``context =>`` starts here: an ``=>`` at bracket
+        depth zero before the type ends.  The type ends at ``where``,
+        ``=``, ``;``, ``}``, a ``,`` at depth zero, or the bracket that
+        closes around it (``(x :: Int)``, ``[1 :: Int, 2]``), so the
+        scan reads the annotation only, not the rest of the input."""
         depth = 0
         ahead = 0
         while True:
@@ -426,11 +436,14 @@ class Parser:
                 depth += 1
             elif tok.is_special(")") or tok.is_special("]"):
                 depth -= 1
+                if depth < 0:
+                    return False
             elif depth == 0:
                 if tok.is_reserved_op("=>"):
                     return True
                 if (tok.is_keyword("where") or tok.is_reserved_op("=")
-                        or tok.is_special(";") or tok.is_special("}")):
+                        or tok.is_special(";") or tok.is_special("}")
+                        or tok.is_special(",")):
                     return False
             ahead += 1
 

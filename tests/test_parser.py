@@ -351,3 +351,40 @@ class TestTypes:
     def test_arrow_constructor(self):
         q = parse_type("(->)")
         assert isinstance(q.type, ast.STyCon) and q.type.name == "->"
+
+
+class TestAnnotationsInBrackets:
+    """An annotation's ``::`` type ends at the bracket or ``,`` that
+    closes around it; the lookahead for a ``context =>`` stops there."""
+
+    @pytest.mark.parametrize("expr, value", [
+        ("g (1 :: Int) + g (2 :: Num b => b)", 3),
+        ("fst (1 :: Int, 2 :: Num a => a)", 1),
+        ("head [1 :: Int, 2 :: Num a => a]", 1),
+    ])
+    def test_annotation_then_context_evaluates(self, expr, value):
+        from repro import compile_source
+        program = compile_source(f"g :: Int -> Int\ng x = x\nmain = {expr}")
+        assert program.run("main") == value
+
+    def test_lookahead_work_is_linear(self, monkeypatch):
+        # Token reads while parsing a main of n four-annotation terms:
+        # doubling n at most doubles them (a lookahead that ran on to
+        # the end of the input after each annotation made it ~4x).
+        from repro.lang.parser import Parser
+        reads = [0]
+        peek = Parser.peek
+
+        def counting_peek(self, ahead=0):
+            reads[0] += 1
+            return peek(self, ahead)
+
+        monkeypatch.setattr(Parser, "peek", counting_peek)
+
+        def work(n):
+            reads[0] = 0
+            term = "g (1 :: Int) (2 :: Int) (x :: Bool) ([] :: [Int])"
+            parse_program("main = " + " + ".join([term] * n))
+            return reads[0]
+
+        assert work(60) <= 2.1 * work(30)
