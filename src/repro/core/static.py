@@ -616,11 +616,13 @@ def _process_instance_decl(env: StaticEnv, decl: ast.InstanceDecl) -> None:
                 raise StaticError(f"unknown type constructor {tycon_name}",
                                   decl.pos)
         shapes.append((tycon_name, names, kind))
-    class_info = env.class_env.class_info(decl.class_name)
+    if cinfo is None:
+        raise StaticError(
+            f"instance declaration for unknown class {decl.class_name}",
+            decl.pos)
     var_kinds: List[Kind] = []
     patterns: List[Tuple[Optional[str], Tuple[int, ...]]] = []
-    for (tycon_name, names, kind), want in zip(shapes,
-                                               class_info.param_kinds):
+    for (tycon_name, names, kind), want in zip(shapes, cinfo.param_kinds):
         first = len(var_kinds)
         patterns.append((tycon_name, tuple(range(first,
                                                  first + len(names)))))
@@ -695,7 +697,7 @@ def _process_instance_decl(env: StaticEnv, decl: ast.InstanceDecl) -> None:
                 f"duplicate constraint {rendered} in instance context",
                 pred.pos)
         preds.append((pred.class_name, idxs))
-    method_names = {m.name for m in class_info.methods}
+    method_names = {m.name for m in cinfo.methods}
     for binding in decl.bindings:
         if binding.name not in method_names:
             raise StaticError(

@@ -209,6 +209,15 @@ class TestClassesAndInstances:
             analyze_with_classes(
                 "instance Eq Int where\n  weird x = x")
 
+    def test_instance_of_unknown_class_located(self):
+        from repro import compile_source
+        with pytest.raises(StaticError) as info:
+            compile_source("x = 1\ninstance Bar Int where bar x = x")
+        exc = info.value
+        assert exc.code == "static"
+        assert exc.message == "instance declaration for unknown class Bar"
+        assert (exc.pos.line, exc.pos.column) == (2, 1)
+
     def test_instance_arity_checked(self):
         with pytest.raises(KindError):
             analyze_with_classes("instance Eq [] where\n  x == y = True")
