@@ -38,6 +38,7 @@ The :class:`Specializer` runs in two configurations:
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -343,6 +344,11 @@ class Specializer:
         return f"clone of {fname} at <{short}>{where}"
 
 
+#: The ``d$`` that begins each dictionary name in a key
+#: (``d$Ord$List(d$Ord$Int)``), not one that ends a class name (``Ord$``).
+_DICT_PREFIX = re.compile(r"(?:^|(?<=[(,]))d\$")
+
+
 def _short_key(key: str) -> str:
     """Human-readable but bounded clone suffix.
 
@@ -353,7 +359,7 @@ def _short_key(key: str) -> str:
     dumps), and the long-lived compile server carries no alias table.
     """
     if len(key) <= 48:
-        return key.replace("d$", "")
+        return _DICT_PREFIX.sub("", key)
     digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:10]
     return f"k{digest}"
 

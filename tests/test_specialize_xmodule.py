@@ -208,6 +208,12 @@ class TestKeyHygiene:
     def test_short_keys_pass_through(self):
         from repro.transform.specialize import _short_key
         assert _short_key("d$Num$Int") == "Num$Int"
+        # Only the ``d$`` that begins a dictionary name goes, not the
+        # one a class name ending in ``d`` runs into.
+        assert _short_key("d$Ord$Int") == "Ord$Int"
+        assert _short_key("d$Ord$List(d$Ord$Int)") == "Ord$List(Ord$Int)"
+        assert (_short_key("d$Eq$Tuple2(d$Ord$Int,d$Bounded$Bool)")
+                == "Eq$Tuple2(Ord$Int,Bounded$Bool)")
 
     def test_wide_key_alias_is_a_content_hash(self):
         # The alias must be a pure function of the key — no process-
