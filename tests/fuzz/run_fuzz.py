@@ -12,6 +12,10 @@ small step limit.  The invariant:
     every input either succeeds or raises ``ReproError``;
     the process never dies.
 
+Every program is also lexed by the character-at-a-time reference
+scanner (``tests/reference_lexer.py``); a token or error that differs
+from the compiler's lexer counts as a crash.
+
 Any other exception (``RecursionError``, ``MemoryError``, a segfault
 taking the whole process down, ...) prints the offending program and
 exits non-zero, so CI fails on exactly the class of bug this PR fixed.
@@ -27,9 +31,11 @@ from typing import Optional, Tuple
 
 from repro.driver import compile_source
 from repro.errors import CoreLintError, ReproError
+from repro.lang.lexer import lex
 from repro.options import CompilerOptions
 from repro.service.snapshot import PreludeSnapshot
 
+from tests import reference_lexer
 from tests.fuzz.corpus import ADVERSARIAL_CORPUS, XMODULE_CORPUS
 from tests.fuzz.gen import ProgramGen
 from tests.fuzz.protocol import run_protocol
@@ -50,6 +56,16 @@ def _assert_positions(exc: ReproError) -> None:
         raise AssertionError(
             f"{code.split('.')[0]}-error diagnostic carries no "
             f"positions: [{code}] {exc}")
+
+
+def _assert_lexes_like_reference(source: str) -> None:
+    """The lexer oracle: the compiler's lexer and the reference scanner
+    give the same tokens, or the same error at the same position."""
+    ours = reference_lexer.outcome(lex, source)
+    ref = reference_lexer.outcome(reference_lexer.lex, source)
+    if ours != ref:
+        raise AssertionError(f"lexer differs from the reference scanner: "
+                             f"{ours!r:.400} != {ref!r:.400}")
 
 
 def _compile_verdict(source: str, snapshot: PreludeSnapshot,
@@ -81,6 +97,7 @@ def check_one(source: str, snapshot: PreludeSnapshot,
     source locations; *provenance_diff* recompiles with provenance
     disabled and asserts the accept/reject verdict is unchanged.
     """
+    _assert_lexes_like_reference(source)
     outcome, code, result = _compile_verdict(source, snapshot, options)
     if provenance_diff:
         off = options.with_(constraint_provenance=False)
@@ -141,6 +158,8 @@ def check_modules(specs, snapshot: PreludeSnapshot,
                 _assert_positions(exc)
             return "error", None, type(exc).code
 
+    for _name, source in specs:
+        _assert_lexes_like_reference(source)
     fast = attempt(options.with_(specialize_xmodule=True))
     slow = attempt(options.with_(specialize_xmodule=False))
     if fast[0] == "ok" and slow[0] == "ok" and fast[1] != slow[1]:
