@@ -170,6 +170,10 @@ class TransformedPrefix:
     after: Mapping[str, Tuple[CoreBinding, ...]]
     #: :attr:`CompileContext.names` after the passes ran over the prefix
     names: Mapping[str, int]
+    #: the evaluator's staged code for the prefix's binding bodies (a
+    #: :class:`repro.coreir.eval.CodeTable`), shared by every program
+    #: whose core keeps those very bodies
+    code: Optional[Any] = None
 
 
 @dataclass
