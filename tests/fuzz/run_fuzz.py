@@ -14,7 +14,10 @@ small step limit.  The invariant:
 
 Every program is also lexed by the character-at-a-time reference
 scanner (``tests/reference_lexer.py``); a token or error that differs
-from the compiler's lexer counts as a crash.
+from the compiler's lexer counts as a crash.  Every ``main`` that runs
+is run by the tree-walking reference evaluator
+(``tests/reference_eval.py``) as well; a value, error or counter that
+differs counts as a crash too.
 
 Any other exception (``RecursionError``, ``MemoryError``, a segfault
 taking the whole process down, ...) prints the offending program and
@@ -35,7 +38,7 @@ from repro.lang.lexer import lex
 from repro.options import CompilerOptions
 from repro.service.snapshot import PreludeSnapshot
 
-from tests import reference_lexer
+from tests import reference_eval, reference_lexer
 from tests.fuzz.corpus import ADVERSARIAL_CORPUS, XMODULE_CORPUS
 from tests.fuzz.gen import ProgramGen
 from tests.fuzz.protocol import run_protocol
@@ -66,6 +69,41 @@ def _assert_lexes_like_reference(source: str) -> None:
     if ours != ref:
         raise AssertionError(f"lexer differs from the reference scanner: "
                              f"{ours!r:.400} != {ref!r:.400}")
+
+
+def _assert_evaluates_like_reference(program, ours) -> None:
+    """The evaluator oracle: the tree-walking reference gives the same
+    value, or the same error, with the same counters, as the run whose
+    outcome (:func:`tests.reference_eval.outcome`) is *ours*."""
+    ref = reference_eval.reference_outcome(program,
+                                           step_limit=EVAL_STEP_LIMIT)
+    if ours != ref:
+        raise AssertionError(f"evaluator differs from the reference: "
+                             f"{ours!r:.400} != {ref!r:.400}")
+
+
+def _run_main(program, source: Optional[str] = None):
+    """Run ``main`` under the step limit and check it against the
+    reference: ``(value, None)`` or ``(None, exc)`` for a ReproError
+    (CoreLintError propagates)."""
+    try:
+        value = program.run("main", step_limit=EVAL_STEP_LIMIT)
+    except CoreLintError:
+        # A lint failure is never a legitimate rejection of the input:
+        # it means a pipeline pass produced ill-formed core.  Treat it
+        # like a crash — propagate so the run fails loudly.
+        raise
+    except ReproError as exc:
+        exc.to_json()
+        if source is not None:
+            exc.pretty(source)
+        _assert_evaluates_like_reference(
+            program, ("error", exc.code, str(exc),
+                      program.last_stats.snapshot()))
+        return None, exc
+    _assert_evaluates_like_reference(
+        program, ("value", value, program.last_stats.snapshot()))
+    return value, None
 
 
 def _compile_verdict(source: str, snapshot: PreludeSnapshot,
@@ -111,19 +149,10 @@ def check_one(source: str, snapshot: PreludeSnapshot,
             _assert_positions(result)
         return outcome, code
     program = result
-    try:
-        if "main" in program.schemes:
-            program.run("main", step_limit=EVAL_STEP_LIMIT)
+    if "main" not in program.schemes:
         return "ok", None
-    except CoreLintError:
-        # A lint failure is never a legitimate rejection of the input:
-        # it means a pipeline pass produced ill-formed core.  Treat it
-        # like a crash — propagate so the run fails loudly.
-        raise
-    except ReproError as exc:
-        exc.to_json()
-        exc.pretty(source)
-        return "error", type(exc).code
+    _value, exc = _run_main(program, source)
+    return ("ok", None) if exc is None else ("error", type(exc).code)
 
 
 def check_modules(specs, snapshot: PreludeSnapshot,
@@ -148,7 +177,9 @@ def check_modules(specs, snapshot: PreludeSnapshot,
             program = builder.build(graph).program
             value = None
             if "main" in program.schemes:
-                value = program.run("main", step_limit=EVAL_STEP_LIMIT)
+                value, exc = _run_main(program)
+                if exc is not None:
+                    raise exc
             return "ok", value, None
         except CoreLintError:
             raise  # ill-formed core is a bug, not a rejected input

@@ -123,6 +123,53 @@ class TestShadow:
         lint_program(program)
 
 
+#: programs whose generated names collide: each computed a wrong value
+#: with no error while the lint was off
+NAME_COLLISIONS = {
+    "operator_and_spelled_method": (
+        "class C a where\n"
+        "  (+++) :: a -> a -> Int\n"
+        "  plus_plus_plus :: a -> a -> Int\n"
+        "instance C Int where\n"
+        "  x +++ y = 1\n"
+        "  plus_plus_plus x y = 2\n"
+        "main = (3 :: Int) +++ 4\n"),
+    "user_list_type": (
+        "data List a = Nil | Cons a (List a) deriving Eq\n"
+        "main = [1, 2] == [1, 2 :: Int]\n"),
+    "user_arrow_type": (
+        "class Describe a where\n"
+        "  describe :: a -> Int\n"
+        "data Arrow a b = MkArrow\n"
+        "instance Describe (Arrow a b) where\n"
+        "  describe x = 11\n"
+        "instance Describe (a -> b) where\n"
+        "  describe f = 22\n"
+        "main = (describe (MkArrow :: Arrow Int Int),\n"
+        "        describe (\\x -> x + (1 :: Int)))\n"),
+}
+
+
+class TestGeneratedNameCollisions:
+    """Two generated bindings with one name are rejected whatever the
+    lint setting, cold and on a snapshot."""
+
+    @pytest.mark.parametrize("name", sorted(NAME_COLLISIONS))
+    @pytest.mark.parametrize("lint", [False, True])
+    def test_collision_is_lint_shadow(self, name, lint):
+        with pytest.raises(LintShadowError) as excinfo:
+            compile_source(NAME_COLLISIONS[name], CompilerOptions(lint=lint))
+        assert excinfo.value.code == "lint.shadow"
+
+    @pytest.mark.parametrize("name", sorted(NAME_COLLISIONS))
+    def test_collision_on_a_snapshot_fork(self, name):
+        from repro.service.snapshot import get_default_snapshot
+        options = CompilerOptions(lint=False)
+        with pytest.raises(LintShadowError):
+            compile_source(NAME_COLLISIONS[name], options,
+                           snapshot=get_default_snapshot(options))
+
+
 class TestConArity:
     def test_constructor_value_arity(self):
         with pytest.raises(LintConArityError) as excinfo:
