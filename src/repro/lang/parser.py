@@ -14,7 +14,7 @@ its operators up front).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ParseError, ResourceLimitError, SourcePos
 from repro.lang import ast
@@ -114,7 +114,19 @@ class Parser:
                 limit="max_parse_depth",
             )
 
-    def _int_literal(self, tok: Token) -> int:
+    def _number(self, tok: Token) -> Union[int, float]:
+        """The value of an INT or FLOAT token.
+
+        The lexer's digit class is ``str.isdigit`` (the reference
+        scanner's), which also admits digits such as ``²`` that ``int``
+        and ``float`` reject; Unicode decimal digits (``٣``) convert."""
+        for ch in tok.value:
+            if ch.isdigit() and not ch.isdecimal():
+                raise ParseError(
+                    f"{ch!r} in a numeric literal is not a decimal digit",
+                    tok.pos)
+        if tok.type is TokenType.FLOAT:
+            return float(tok.value)
         try:
             return int(tok.value)
         except ValueError:
@@ -477,7 +489,7 @@ class Parser:
         if prec_tok.type is not TokenType.INT:
             raise self.error("expected precedence (0-9) in fixity declaration")
         self.advance()
-        precedence = int(prec_tok.value)
+        precedence = self._number(prec_tok)
         if not 0 <= precedence <= 9:
             raise ParseError("fixity precedence must be between 0 and 9",
                              prec_tok.pos)
@@ -764,10 +776,10 @@ class Parser:
             return ast.PCon(tok.value, [], pos=tok.pos)
         if tok.type is TokenType.INT:
             self.advance()
-            return ast.PLit(self._int_literal(tok), "int", pos=tok.pos)
+            return ast.PLit(self._number(tok), "int", pos=tok.pos)
         if tok.type is TokenType.FLOAT:
             self.advance()
-            return ast.PLit(float(tok.value), "float", pos=tok.pos)
+            return ast.PLit(self._number(tok), "float", pos=tok.pos)
         if tok.type is TokenType.CHAR:
             self.advance()
             return ast.PLit(tok.value, "char", pos=tok.pos)
@@ -962,10 +974,10 @@ class Parser:
             return ast.Con(tok.value, pos=tok.pos)
         if tok.type is TokenType.INT:
             self.advance()
-            return ast.Lit(self._int_literal(tok), "int", pos=tok.pos)
+            return ast.Lit(self._number(tok), "int", pos=tok.pos)
         if tok.type is TokenType.FLOAT:
             self.advance()
-            return ast.Lit(float(tok.value), "float", pos=tok.pos)
+            return ast.Lit(self._number(tok), "float", pos=tok.pos)
         if tok.type is TokenType.CHAR:
             self.advance()
             return ast.Lit(tok.value, "char", pos=tok.pos)

@@ -99,6 +99,27 @@ class TestCompiledProgram:
         with pytest.raises(EvalError):
             program.run("main")
 
+    @pytest.mark.parametrize("snapshot", [False, True])
+    def test_program_pickles_after_it_has_run(self, snapshot):
+        # The compile cache pickles whole programs; staged code and warm
+        # evaluators stay behind, and the clone stages its own.
+        import pickle
+        from repro.service.snapshot import get_default_snapshot
+        source = ("data Box = Box Int\nsize (Box n) = n\n"
+                  "main = sum (map size [Box 1, Box 2, Box 3])")
+        program = compile_source(
+            source, snapshot=get_default_snapshot() if snapshot else None)
+        compiled = program.compile_expr("size (Box 7) + main")
+        assert program.run("main") == 6
+        run_stats = program.last_stats.snapshot()
+        assert program.eval_compiled(compiled, reuse=True) == 13
+        eval_stats = program.last_stats.snapshot()
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone.run("main") == 6
+        assert clone.last_stats.snapshot() == run_stats
+        assert clone.eval_compiled(compiled, reuse=True) == 13
+        assert clone.last_stats.snapshot() == eval_stats
+
     def test_warnings_surface(self):
         program = compile_source(
             "f x = x == x && g\ng = null [f]",

@@ -388,3 +388,25 @@ class TestAnnotationsInBrackets:
             return reads[0]
 
         assert work(60) <= 2.1 * work(30)
+
+
+class TestNonDecimalDigits:
+    """The lexer reads any ``str.isdigit`` character as a digit; a digit
+    that is not a decimal digit is a located parse error."""
+
+    @pytest.mark.parametrize("source, column", [
+        ("main = 1.²", 8),
+        ("main = ²", 8),
+        ("f 1.² = 1\nf x = 0\nmain = f 2.0", 3),
+        ("infixl ² +++\nx +++ y = x\nmain = 1 +++ 2", 8),
+    ])
+    def test_rejected_where_it_stands(self, source, column):
+        with pytest.raises(ParseError, match="not a decimal digit") as exc:
+            parse_program(source)
+        assert exc.value.code == "parse"
+        assert (exc.value.pos.line, exc.value.pos.column) == (1, column)
+
+    def test_unicode_decimal_digit_reads(self):
+        from repro import compile_source
+        assert compile_source("main = ٣").run("main") == 3
+        assert compile_source("main = ١.٥").run("main") == 1.5
