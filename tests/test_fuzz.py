@@ -7,6 +7,8 @@ exception.  See ``tests/fuzz/`` for the generator and the CI smoke
 runner.
 """
 
+import traceback
+
 import pytest
 
 from repro import CompilerOptions, ReproError, compile_source
@@ -56,6 +58,27 @@ class TestConfirmedRepros:
         with pytest.raises(ResourceLimitError) as excinfo:
             program.run("main", max_depth=10_000)
         assert excinfo.value.limit == "eval_depth_limit"
+
+    @pytest.mark.parametrize("source", [
+        "count n = if n == 0 then 0 else 1 + count (n - 1)\n"
+        "main = count (50000 :: Int)",
+        "main = length (enumFromTo 1 (50000 :: Int))",
+        "main = foldr (+) 0 (enumFromTo 1 (50000 :: Int))",
+        "main = length (show (enumFromTo 1 (20000 :: Int)))",
+    ])
+    def test_at_most_four_python_frames_per_level(self, source):
+        # The default budget (200,000 levels) must fire before the
+        # big-stack thread's recursion limit (1,000,000 frames) on every
+        # path, so no path may take more than 4 Python frames per level.
+        # A tree walk that took 5 down a list hit "recursionlimit" at
+        # `length (enumFromTo 1 210000)` instead of the budget.
+        depth = 2000
+        program = compile_source(source)
+        with pytest.raises(ResourceLimitError) as excinfo:
+            program.run("main", max_depth=depth)
+        assert excinfo.value.limit == "eval_depth_limit"
+        frames = len(traceback.extract_tb(excinfo.value.__traceback__))
+        assert frames <= 4 * depth + 50
 
     def test_deep_parens_raise_located_limit_not_recursionerror(self):
         # Pre-fix: 400 nested parens escaped as a raw RecursionError.
