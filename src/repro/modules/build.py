@@ -47,8 +47,9 @@ from repro.errors import (
 from repro.lang.parser import Fixity
 from repro.modules.interface import (
     ModuleInterface,
+    interface_bytes,
     interface_path,
-    load_interface,
+    load_interface,  # noqa: F401 — perfbench's tracer wraps it here
     save_interface,
 )
 from repro.modules.resolve import ModuleGraph, ModuleSource, discover_modules
@@ -525,6 +526,8 @@ class BuildResult:
     #: compile-cache counters at the end of the build
     cache: Dict[str, Any]
     seconds: float
+    #: the build's *jobs*: distributed compiles in flight (a local
+    #: build compiles on the calling thread and only echoes it)
     jobs: int
 
     @property
@@ -595,9 +598,10 @@ class CheckResult:
 
 
 class ModuleBuilder:
-    """Builds module graphs: schedules per-module compiles over the
-    import DAG (independent modules in parallel), consults the
-    content-addressed artifact cache, writes interface files, links.
+    """Builds module graphs: compiles modules in topological order (on
+    worker processes, DAG-independent ones at once, for a distributed
+    build), consults the content-addressed artifact cache, writes
+    interface files, links.
 
     Thread safe per build; a builder may be reused across builds and
     its cache then provides incrementality — after an edit, only the
@@ -628,18 +632,24 @@ class ModuleBuilder:
               out_dir: Optional[str] = None, link: bool = True,
               pool: Optional[Any] = None) -> BuildResult:
         """Compile every module in *graph* (cache permitting), then
-        link.  *jobs* > 1 runs independent modules on a thread pool;
-        *out_dir* receives ``.ri`` interface files as modules finish.
+        link.  *out_dir* receives ``.ri`` interface files as modules
+        finish.
+
+        A local build looks up and compiles every module on the calling
+        thread, in topological order; the first failure is raised.
+        Under the GIL a thread pool only adds contention (docs/MODULES.md
+        gives the measurement).  *jobs* is still accepted and echoed in
+        :attr:`BuildResult.jobs`.
 
         With *pool* (a :class:`repro.service.worker.WorkerPool`) the
-        build is **distributed**: the same indegree scheduler runs, but
-        each cache-miss compile is submitted to a worker process as a
-        ``compile_module`` request instead of running on a local
-        thread.  Cache consults, ``.ri`` writes and the link stay in
-        this process, so the observable outputs — interface bytes,
-        linked program, coherence errors — are identical to a local
-        build (workers fork from this process and inherit its snapshot
-        and hash seed; a test pins the byte equality).
+        build is **distributed**: an indegree scheduler keeps *jobs*
+        (at least one per worker) cache-miss compiles in flight, each
+        submitted to a worker process as a ``compile_module`` request.
+        Cache consults, ``.ri`` writes and the link stay in this
+        process, so the observable outputs — interface bytes, linked
+        program, coherence errors — are identical to a local build
+        (workers fork from this process and inherit its snapshot and
+        hash seed; a test pins the byte equality).
         """
         t0 = time.perf_counter()
         if jobs is None:
@@ -679,7 +689,7 @@ class ModuleBuilder:
             if out_dir:
                 self._write_interface(out_dir, name, art.interface)
 
-        if jobs == 1 or len(graph.order) <= 1:
+        if pool is None or jobs == 1 or len(graph.order) <= 1:
             for name in graph.order:
                 build_one(name)
         else:
@@ -699,16 +709,18 @@ class ModuleBuilder:
     def _write_interface(out_dir: str, name: str,
                          interface: ModuleInterface) -> None:
         path = interface_path(out_dir, name)
-        # A stale file (older format version, corruption) loads as
-        # None and is overwritten — never a pickle error; an identical
-        # up-to-date one is left alone (stable mtimes for downstream
-        # build tools).
-        existing = load_interface(path, stale_ok=True)
-        if existing is None or \
-                existing.fingerprint != interface.fingerprint \
-                or existing.unfold_fp != interface.unfold_fp \
-                or existing.source_sha != interface.source_sha:
-            save_interface(interface, path)
+        # The file is compared byte for byte with what would be written,
+        # never unpickled: an identical one is left alone (stable mtimes
+        # for downstream build tools), and any other (an older format
+        # version, corruption, another interface) is overwritten.
+        payload = interface_bytes(interface)
+        try:
+            with open(path, "rb") as handle:
+                if handle.read() == payload:
+                    return
+        except OSError:
+            pass
+        save_interface(interface, path)
 
     # ------------------------------------------------------------- checking
 
@@ -818,11 +830,11 @@ class ModuleBuilder:
 
     @staticmethod
     def _build_parallel(graph: ModuleGraph, jobs: int, build_one) -> None:
-        """Indegree scheduling over the import DAG: a module is
-        submitted the moment its last import finishes; the pool keeps
-        every DAG-independent compile in flight at once.  The first
-        failure stops new submissions, lets in-flight work drain, and
-        is re-raised."""
+        """Indegree scheduling over the import DAG for a distributed
+        build: a module is submitted the moment its last import
+        finishes, and up to *jobs* threads wait on worker pipes at
+        once.  The first failure stops new submissions, lets in-flight
+        work drain, and is re-raised."""
         indegree = {name: len(graph.deps[name]) for name in graph.order}
         done: "queue.Queue[Tuple[str, Optional[BaseException]]]" = \
             queue.Queue()

@@ -106,6 +106,13 @@ class ModuleInterface:
             from repro.specialize.unfold import unfold_fingerprint
             self.unfold_fp = unfold_fingerprint(self.unfoldings)
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # The memo of interface_bytes stays out of every pickle: the
+        # .ri file itself, the compile cache's disk tier, worker pipes.
+        state = dict(self.__dict__)
+        state.pop("_ri_bytes", None)
+        return state
+
     # ------------------------------------------------------- fingerprint
 
     def _compute_fingerprint(self) -> str:
@@ -193,13 +200,25 @@ def _canonical_dumps(obj: Any) -> bytes:
     return buf.getvalue()
 
 
+def interface_bytes(iface: ModuleInterface) -> bytes:
+    """The exact contents of *iface*'s ``.ri`` file: magic, version
+    byte and memo-free pickle (see :func:`_canonical_dumps` for why the
+    bytes must be a function of content alone).  Pickled once per
+    interface object, which is never mutated once built: a rebuild
+    compares its cache hits' files without pickling them again."""
+    payload = getattr(iface, "_ri_bytes", None)
+    if payload is None:
+        payload = _MAGIC + bytes([INTERFACE_VERSION]) + \
+            _canonical_dumps(iface)
+        iface._ri_bytes = payload
+    return payload
+
+
 def save_interface(iface: ModuleInterface, path: str) -> None:
-    """Write *iface* to *path* atomically (magic + version + memo-free
-    pickle — see :func:`_canonical_dumps` for why the bytes must be a
-    function of content alone)."""
+    """Write *iface* (:func:`interface_bytes`) to *path* atomically."""
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    payload = _MAGIC + bytes([INTERFACE_VERSION]) + _canonical_dumps(iface)
+    payload = interface_bytes(iface)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:

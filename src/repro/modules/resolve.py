@@ -4,7 +4,9 @@ The resolver does a *header scan* of each source — real lexer, real
 parser productions, but only as far as the ``module``/``import``
 prefix — so dependency analysis never depends on fixities or other
 cross-module context the full parse needs.  The body is parsed later,
-by the per-module compile, with imported fixities in hand.
+by the per-module compile, with imported fixities in hand.  A
+successful scan is memoized on a digest of the text, so a rebuild
+lexes only the modules whose text changed.
 
 The import graph must be a DAG: strongly connected components of size
 greater than one (and self-imports) are rejected with a located
@@ -14,7 +16,9 @@ greater than one (and self-imports) are rejected with a located
 
 from __future__ import annotations
 
+import hashlib
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -22,7 +26,6 @@ from repro.errors import ModuleCycleError, ModuleError, UnknownModuleError
 from repro.lang import ast
 from repro.lang.lexer import lex
 from repro.lang.parser import Parser
-from repro.lang.tokens import TokenType
 from repro.limits import DEFAULT_PARSE_DEPTH
 from repro.util.graph import Digraph, strongly_connected_components
 
@@ -45,6 +48,15 @@ class ModuleSource:
         return [imp.module for imp in self.imports]
 
 
+#: header scans kept process-wide (see :func:`scan_module_source`);
+#: at the cap the oldest entry makes room
+_HEADER_MEMO_CAP = 4096
+_header_memo: Dict[Tuple[bytes, str, Optional[str], int],
+                   Tuple[str, Tuple[ast.ImportDecl, ...],
+                         Optional[Tuple[str, ...]]]] = {}
+_header_lock = threading.Lock()
+
+
 def scan_module_source(source: str, filename: str = "<input>",
                        name: Optional[str] = None,
                        max_depth: int = DEFAULT_PARSE_DEPTH) -> ModuleSource:
@@ -54,7 +66,40 @@ def scan_module_source(source: str, filename: str = "<input>",
     *name*, else from the file name's stem.  A header that contradicts
     the file name is rejected — the resolver maps names to files, so
     they must agree.
+
+    A successful scan is memoized under a SHA-256 of the text with
+    *filename*, *name* and *max_depth* (positions name the file), in
+    one table that concurrent resolutions share.  A failing text is
+    never memoized: it is scanned again, and its error (a lex error
+    anywhere in the body, say) raised, every time.  Each call returns
+    fresh lists, so a caller may mutate what it gets.
     """
+    # surrogatepass: a lone surrogate must reach the lexer, not fail here
+    digest = hashlib.sha256(
+        source.encode("utf-8", "surrogatepass")).digest()
+    key = (digest, filename, name, max_depth)
+    header = _header_memo.get(key)
+    if header is None:
+        header = _scan_header(source, filename, name, max_depth)
+        with _header_lock:
+            if len(_header_memo) >= _HEADER_MEMO_CAP:
+                del _header_memo[next(iter(_header_memo))]
+            _header_memo[key] = header
+    module_name, imports, exports = header
+    return ModuleSource(
+        module_name, filename, source,
+        [ast.ImportDecl(imp.module,
+                        None if imp.names is None else list(imp.names),
+                        imp.pos)
+         for imp in imports],
+        None if exports is None else list(exports))
+
+
+def _scan_header(source: str, filename: str, name: Optional[str],
+                 max_depth: int
+                 ) -> Tuple[str, Tuple[ast.ImportDecl, ...],
+                            Optional[Tuple[str, ...]]]:
+    """The uncached scan: ``(module name, imports, exports)``."""
     tokens = lex(source, filename)
     parser = Parser(tokens, source, max_depth=max_depth)
     module_name: Optional[str] = None
@@ -88,7 +133,8 @@ def scan_module_source(source: str, filename: str = "<input>",
             f"module '{module_name}' is defined in '{filename}'; the "
             f"file must be named {module_name}{MODULE_SUFFIX} so imports "
             f"can find it")
-    return ModuleSource(module_name, filename, source, imports, exports)
+    return (module_name, tuple(imports),
+            None if exports is None else tuple(exports))
 
 
 def _stem(filename: str) -> Optional[str]:

@@ -13,16 +13,20 @@ from __future__ import annotations
 
 import json
 import os
+import sys
+import threading
 
 import pytest
 
 from repro.driver import compile_source
 from repro.errors import (
     DuplicateInstanceLinkError,
+    LexError,
     LinkError,
     ModuleCycleError,
     ModuleError,
     ReproError,
+    SourcePos,
     StaticError,
     UnknownModuleError,
 )
@@ -36,7 +40,11 @@ from repro.modules import (
     save_interface,
     scan_module_source,
 )
-from repro.modules.interface import INTERFACE_VERSION, interface_path
+from repro.modules.interface import (
+    INTERFACE_VERSION,
+    interface_bytes,
+    interface_path,
+)
 from repro.modules.resolve import scan_inline_modules
 from repro.options import CompilerOptions
 from repro.service.snapshot import get_default_snapshot
@@ -94,6 +102,72 @@ class TestScan:
     def test_header_request_name_conflict(self):
         with pytest.raises(ModuleError, match="build request"):
             scan_module_source("module Foo where\nx = 1", "<t>", name="Bar")
+
+    def test_body_lex_error_raised_on_every_scan(self):
+        # Only successful scans are memoized: a text whose body does
+        # not lex fails the same way on the second resolution too.
+        spec = ("A", "module A where\nx = 1\ny = \"abc\n")
+        errors = []
+        for _ in range(2):
+            with pytest.raises(LexError) as exc:
+                scan_inline_modules([spec])
+            errors.append((str(exc.value), exc.value.pos))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == SourcePos(3, 5, "<A>")
+
+    def test_import_positions_name_each_file(self):
+        text = "module Foo where\nimport Bar\nx = 1"
+        first = scan_module_source(text, "/one/Foo.mhs")
+        second = scan_module_source(text, "/two/Foo.mhs")
+        assert first.imports[0].pos == SourcePos(2, 1, "/one/Foo.mhs")
+        assert second.imports[0].pos == SourcePos(2, 1, "/two/Foo.mhs")
+
+    def test_concurrent_scans_share_the_memo(self, monkeypatch):
+        # Server resolutions scan on several threads at once.  With a
+        # small cap nearly every insert evicts; a lost update would
+        # raise, return a wrong header or leave the table over its cap.
+        from repro.modules import resolve
+        monkeypatch.setattr(resolve, "_HEADER_MEMO_CAP", 8)
+        monkeypatch.setattr(resolve, "_header_memo", {})
+        texts = [f"module M{i} where\nimport Base\nx = {i}\n"
+                 for i in range(24)]
+        errors = []
+
+        def work(k):
+            try:
+                for step in range(40):
+                    i = (k * 5 + step) % len(texts)
+                    src = resolve.scan_module_source(texts[i], "<t>")
+                    assert src.name == f"M{i}"
+                    assert src.import_names == ["Base"]
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,))
+                       for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(resolve._header_memo) <= 8
+
+    def test_scan_results_do_not_share_lists(self):
+        text = "module Foo (x) where\nimport Bar (f)\nx = 1"
+        first = scan_module_source(text, "<Foo>")
+        first.imports[0].names.append("g")
+        first.imports.append(first.imports[0])
+        first.exports.append("y")
+        second = scan_module_source(text, "<Foo>")
+        assert second.import_names == ["Bar"]
+        assert second.imports[0].names == ["f"]
+        assert second.exports == ["x"]
 
 
 class TestResolve:
@@ -197,6 +271,20 @@ class TestInterfaces:
                                + "\n" + strip_headers(dep_src))
         assert str(whole.schemes["app"]) \
             == str(via_disk.interface.schemes["app"])
+
+    def test_payload_memo_stays_out_of_pickles(self, tmp_path):
+        # interface_bytes keeps the .ri payload on the interface; the
+        # file, cache entries and worker pipes never carry it.
+        import pickle
+        iface = self.build_lib().interface
+        before = pickle.dumps(iface)
+        payload = interface_bytes(iface)
+        assert pickle.dumps(iface) == before
+        path = interface_path(str(tmp_path), "Lib")
+        save_interface(iface, path)
+        with open(path, "rb") as handle:
+            assert handle.read() == payload
+        assert interface_bytes(load_interface(path)) == payload
 
     def test_fingerprint_ignores_bodies_tracks_surface(self):
         base = self.build_lib().interface.fingerprint
@@ -614,6 +702,35 @@ class TestIncremental:
         graph = graph_of(("A", "module A where\na = undefinedName\n"),
                          ("B", "module B where\nb = 1\n"))
         with pytest.raises(ReproError):
+            ModuleBuilder().build(graph, jobs=4)
+
+    def test_local_build_starts_no_thread(self, monkeypatch):
+        from repro.modules import build as build_module
+        seen = []
+        real = build_module.compile_module
+
+        def spy(*args, **kwargs):
+            seen.append((threading.current_thread(),
+                         [t.name for t in threading.enumerate()]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(build_module, "compile_module", spy)
+        result = ModuleBuilder().build(tree(), jobs=4)
+        after = [t.name for t in threading.enumerate()]
+        assert result.jobs == 4 and len(seen) == 4
+        assert all(thread is threading.current_thread()
+                   for thread, _alive in seen)
+        for names in [alive for _thread, alive in seen] + [after]:
+            assert not any(n.startswith("repro-build") for n in names)
+
+    def test_first_failure_in_topological_order_is_raised(self):
+        # A, first in topological order, takes longer to fail than B.
+        slow = "".join(f"v{i} = {i} + 1\n" for i in range(60))
+        graph = graph_of(
+            ("A", "module A where\n" + slow + "a = missingInA\n"),
+            ("B", "module B where\nb = missingInB\n"))
+        assert graph.order == ["A", "B"]
+        with pytest.raises(ReproError, match="missingInA"):
             ModuleBuilder().build(graph, jobs=4)
 
 
