@@ -215,7 +215,13 @@ class CompiledProgram:
         if reuse:
             with self._lock:
                 if self._eval_pool:
-                    return self._eval_pool.pop()
+                    evaluator = self._eval_pool.pop()
+                    # The step budget is per request: count it from
+                    # this request's first step, not the evaluator's.
+                    if evaluator.step_limit:
+                        evaluator.limit = (evaluator.steps
+                                           + evaluator.step_limit)
+                    return evaluator
         return self.evaluator()
 
     def _release_evaluator(self, evaluator: Evaluator) -> None:

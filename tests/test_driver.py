@@ -99,6 +99,20 @@ class TestCompiledProgram:
         with pytest.raises(EvalError):
             program.run("main")
 
+    def test_pooled_step_limit_is_per_request(self):
+        # A pooled evaluator keeps its counters across requests; the
+        # step budget still counts from each request's first step.
+        from repro import EvalError
+        program = compile_source("", CompilerOptions(eval_step_limit=3000))
+        small = program.compile_expr("sum (enumFromTo 1 (10 :: Int))")
+        for _ in range(6):
+            assert program.eval_compiled(small, reuse=True) == 55
+            assert 728 <= program.last_stats.steps <= 737
+        big = program.compile_expr("sum (enumFromTo 1 (100 :: Int))")
+        with pytest.raises(EvalError,
+                           match=r"exceeded the step limit \(3000\)"):
+            program.eval_compiled(big, reuse=True)
+
     @pytest.mark.parametrize("snapshot", [False, True])
     def test_program_pickles_after_it_has_run(self, snapshot):
         # The compile cache pickles whole programs; staged code and warm
