@@ -523,12 +523,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="module files (*.mhs) or directories "
                               "searched recursively")
     p_build.add_argument("-j", "--jobs", type=int,
-                         help="parallel module compiles "
-                              "(default CompilerOptions.build_jobs)")
+                         help="distributed module compiles in flight "
+                              "(default CompilerOptions.build_jobs); a "
+                              "local build compiles on one thread")
     p_build.add_argument("--distributed", type=int, metavar="N", default=0,
                          help="compile modules on N worker processes "
                               "(the compile-server worker pool) instead "
-                              "of local threads")
+                              "of in this process")
     p_build.add_argument("--out", metavar="DIR",
                          help="write .ri interface files here")
     p_build.add_argument("--run", action="store_true",

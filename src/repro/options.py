@@ -118,7 +118,9 @@ class CompilerOptions:
     cache_size: int = 64          # in-memory compile cache capacity
     cache_dir: str = ""           # "" = memory only; a path enables disk cache
     cache_disk_budget: int = 0    # max bytes for the disk tier (0 = unlimited)
-    build_jobs: int = 4           # thread-pool width for `repro build`
+    #: distributed `repro build` compiles in flight (at least one per
+    #: worker); a local build compiles on the calling thread
+    build_jobs: int = 4
     server_host: str = "127.0.0.1"
     server_port: int = 0          # 0 = pick an ephemeral port
     #: worker *processes* behind the async front; 0 = in-process
