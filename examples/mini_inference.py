@@ -196,7 +196,7 @@ def main() -> None:
               "let id = \\x -> x in (if id True then id 1 else 0)",
               "\\x -> x x  (occurs check)",
               "if 1 then 2 else 3  (Bool mismatch)"]
-    results = program.run("main", big_stack=True)
+    results = program.run("main")
     print("a Hindley-Milner inferencer, itself compiled by the")
     print("reproduction's type-class compiler:\n")
     for label, result in zip(labels, results):

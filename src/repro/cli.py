@@ -365,7 +365,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     def on_sigterm(_signum, _frame):
         # Graceful drain: stop accepting, let in-flight requests
-        # finish within server_drain_grace, then exit.
+        # finish within DRAIN_GRACE (repro.service.worker), then exit.
         print("repro serve: SIGTERM — draining", file=sys.stderr)
         threading.Thread(target=server.drain, daemon=True).start()
 
@@ -524,8 +524,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "searched recursively")
     p_build.add_argument("-j", "--jobs", type=int,
                          help="distributed module compiles in flight "
-                              "(default CompilerOptions.build_jobs); a "
-                              "local build compiles on one thread")
+                              "(default 4); a local build compiles on "
+                              "one thread")
     p_build.add_argument("--distributed", type=int, metavar="N", default=0,
                          help="compile modules on N worker processes "
                               "(the compile-server worker pool) instead "

@@ -204,16 +204,14 @@ class Inferencer:
         self.static = static_env
         self.class_env: ClassEnv = static_env.class_env
         self.options = options if options is not None else CompilerOptions()
-        solver = getattr(self.options, "solver", "reduce")
+        solver = self.options.solver
         if solver != "reduce":
             raise ValueError(
                 f"unknown solver {solver!r} (the only solver is 'reduce')")
         self.unifier = Unifier(
             self.class_env,
-            max_depth=getattr(self.options, "max_type_depth", 10_000),
-            provenance=getattr(self.options, "constraint_provenance", True),
-            minimize_cap=getattr(self.options, "provenance_minimize_cap",
-                                 300))
+            max_depth=self.options.max_type_depth,
+            provenance=self.options.constraint_provenance)
         self.names = NameSupply()
         self.level = 0
         self.env = global_env if global_env is not None else TypeEnv()

@@ -407,11 +407,6 @@ def _subst_gens(ty: Type, new_vars: List[TyVar]) -> Type:
     return ty
 
 
-def monotype_scheme(ty: Type) -> Scheme:
-    """A scheme with no quantified variables."""
-    return Scheme([], [], ty)
-
-
 def generalize_over(gen_vars: List[TyVar], preds: List[Tuple[str, TyVar]],
                     ty: Type) -> Scheme:
     """Build a scheme quantifying *gen_vars* (which must be unbound).

@@ -84,10 +84,11 @@ from repro.core.types import (
 )
 from repro.solver import ReduceSolver
 
-#: Default for constraint-set minimization: sets larger than this are
-#: not minimized (deletion-based minimization is quadratic in replays);
-#: the failing constraint's own origin is reported instead.  Per-
-#: compilation configurable as ``Options.provenance_minimize_cap``.
+#: Constraint-set minimization cap: sets larger than this are not
+#: minimized (deletion-based minimization is quadratic in replays); the
+#: failing constraint's own origin is reported instead, and the miss is
+#: counted as ``provenance.minimize-capped``.  An ill-typed program of
+#: perfbench's ``compile`` workload logs 2–6 constraints.
 DEFAULT_MINIMIZE_CAP = 300
 
 
@@ -126,7 +127,7 @@ class Unifier:
         self.max_depth = max_depth
         #: the context-reduction engine behind propagate_classes
         self.solver = ReduceSolver()
-        #: minimization budget (Options.provenance_minimize_cap)
+        #: minimization budget (DEFAULT_MINIMIZE_CAP)
         self.minimize_cap = minimize_cap
         #: how often a type error's constraint set exceeded the cap and
         #: skipped minimization (the provenance.minimize-capped counter)

@@ -1104,18 +1104,42 @@ def value_to_python(evaluator: Evaluator, value: Any) -> Any:
     raise EvalError(f"cannot convert value {value!r}")
 
 
-#: Recursion limit inside big-stack threads; a 512 MB stack holds this
+#: Stack size, in MB, of every thread that runs interpreted evaluation:
+#: it nests Python frames deeply, and a default-sized stack overflows
+#: fatally, below Python.  The memory is virtual: untouched pages cost
+#: nothing.
+BIG_STACK_MB = 512
+
+#: Recursion limit while big-stack threads run; a 512 MB stack holds this
 #: many interpreted frames comfortably.
 BIG_STACK_RECURSION_LIMIT = 1_000_000
 
-_big_stack_lock: Any = None
+_big_stack_lock = threading.Lock()
 _big_stack_active = 0
 _big_stack_saved_limit = 0
+#: ``marked`` is set on threads started with a big stack for good
+_big_stack_thread = threading.local()
 
 
-def with_big_stack(fn: Callable[[], Any], stack_mb: int = 512) -> Any:
-    """Run *fn* in a thread with a large stack — deep recursion in
-    interpreted programs nests Python frames.
+def mark_big_stack() -> None:
+    """Declare the calling thread, started with a :data:`BIG_STACK_MB`
+    stack, a big-stack thread for its lifetime: :func:`with_big_stack`
+    runs inline on it.  It counts as a running big-stack thread from
+    now on, so the raised recursion limit is never restored under it.
+    """
+    global _big_stack_active
+    with _big_stack_lock:
+        if sys.getrecursionlimit() < BIG_STACK_RECURSION_LIMIT:
+            sys.setrecursionlimit(BIG_STACK_RECURSION_LIMIT)
+        _big_stack_active += 1
+    _big_stack_thread.marked = True
+
+
+def with_big_stack(fn: Callable[[], Any]) -> Any:
+    """Run *fn* on a thread with a large stack — deep recursion in
+    interpreted programs nests Python frames.  On a thread marked by
+    :func:`mark_big_stack` (the compile server's request threads) that
+    is the calling thread; elsewhere *fn* runs on a new thread.
 
     The recursion limit and ``threading.stack_size`` are process-global,
     so concurrent callers coordinate through a lock and a nesting count:
@@ -1123,9 +1147,9 @@ def with_big_stack(fn: Callable[[], Any], stack_mb: int = 512) -> Any:
     restored only when the last one finishes (restoring earlier would
     yank the floor out from under a thread that is still deep).
     """
-    global _big_stack_lock, _big_stack_active, _big_stack_saved_limit
-    if _big_stack_lock is None:
-        _big_stack_lock = threading.Lock()
+    global _big_stack_active, _big_stack_saved_limit
+    if getattr(_big_stack_thread, "marked", False):
+        return fn()
 
     result: List[Any] = []
     error: List[BaseException] = []
@@ -1139,12 +1163,15 @@ def with_big_stack(fn: Callable[[], Any], stack_mb: int = 512) -> Any:
     with _big_stack_lock:
         if _big_stack_active == 0:
             _big_stack_saved_limit = sys.getrecursionlimit()
-            if _big_stack_saved_limit < BIG_STACK_RECURSION_LIMIT:
-                sys.setrecursionlimit(BIG_STACK_RECURSION_LIMIT)
+        # Raised whenever it is low, not only by the first thread: a
+        # marked thread keeps the count up, and something else may have
+        # lowered the limit since.
+        if sys.getrecursionlimit() < BIG_STACK_RECURSION_LIMIT:
+            sys.setrecursionlimit(BIG_STACK_RECURSION_LIMIT)
         _big_stack_active += 1
         # stack_size is global too: set it, start the thread (which
         # snapshots it), and reset before releasing the lock.
-        threading.stack_size(stack_mb * 1024 * 1024)
+        threading.stack_size(BIG_STACK_MB * 1024 * 1024)
         try:
             thread = threading.Thread(target=runner)
             thread.start()

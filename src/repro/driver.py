@@ -127,21 +127,20 @@ class CompiledProgram:
                                      self.options.call_by_need)
         step_limit = overrides.get("step_limit",
                                    self.options.eval_step_limit)
-        max_depth = overrides.get(
-            "max_depth", getattr(self.options, "eval_depth_limit", 200_000))
+        max_depth = overrides.get("max_depth", self.options.eval_depth_limit)
         return Evaluator(self.core, PRIMITIVES(), call_by_need=call_by_need,
                          step_limit=step_limit, max_depth=max_depth,
                          code=self.code)
 
     def run(self, name: str = "main", deep: bool = True,
-            big_stack: bool = True, **overrides: Any) -> Any:
+            **overrides: Any) -> Any:
         """Evaluate the top-level binding *name* to a Python value.
 
-        Deep work runs on a dedicated big-stack thread by default —
-        never by raising the recursion limit on the caller's thread,
-        which is how interpreters segfault.  ``big_stack=False`` stays
-        available for hosts that already run on a big stack (the
-        compile server's workers).
+        Deep work runs on a big-stack thread (:func:`with_big_stack`):
+        the caller's own when it is one, as the compile server's
+        request threads are, else a new one — never by raising the
+        recursion limit on a default-stack thread, which is how
+        interpreters segfault.
         """
         evaluator = self.evaluator(**overrides)
 
@@ -153,7 +152,7 @@ class CompiledProgram:
                 return value
 
         try:
-            result = with_big_stack(go) if big_stack else go()
+            result = with_big_stack(go)
         finally:
             # Record the counters even when evaluation fails, so callers
             # (e.g. ``repro run --stats``) can report partial work.
@@ -172,9 +171,7 @@ class CompiledProgram:
         ensure_recursion_headroom()
         with recursion_fence("expression compilation"):
             expr = desugar_expr(
-                parse_expr(
-                    source,
-                    max_depth=getattr(self.options, "max_parse_depth", 300)),
+                parse_expr(source, max_depth=self.options.max_parse_depth),
                 self.options.overload_literals)
             with self._lock:
                 n_before = len(self._inferencer.output)
@@ -194,16 +191,16 @@ class CompiledProgram:
         return CompiledExpr(source=source, core_expr=core_expr,
                             core_extra=tuple(core_extra))
 
-    def eval(self, source: str, deep: bool = True, big_stack: bool = True,
+    def eval(self, source: str, deep: bool = True,
              **overrides: Any) -> Any:
         """Type check and evaluate an expression in this program's
         scope (e.g. ``program.eval("member 2 [1,2,3]")``).
 
-        As with :meth:`run`, evaluation uses a big-stack thread by
-        default instead of mutating the caller's recursion limit.
+        As with :meth:`run`, evaluation runs on a big-stack thread
+        instead of mutating the caller's recursion limit.
         """
         return self.eval_compiled(self.compile_expr(source), deep=deep,
-                                  big_stack=big_stack, **overrides)
+                                  **overrides)
 
     # Cap on generated-name bindings a pooled evaluator may accumulate
     # (each distinct expression binds its helpers once) before it is
@@ -233,8 +230,7 @@ class CompiledProgram:
                 self._eval_pool.append(evaluator)
 
     def eval_compiled(self, compiled: "CompiledExpr", deep: bool = True,
-                      big_stack: bool = True, reuse: bool = False,
-                      **overrides: Any) -> Any:
+                      reuse: bool = False, **overrides: Any) -> Any:
         """Evaluate a :class:`CompiledExpr` produced by
         :meth:`compile_expr`.
 
@@ -258,8 +254,7 @@ class CompiledProgram:
             evaluator.step_limit = overrides.get(
                 "step_limit", self.options.eval_step_limit)
             evaluator.max_depth = overrides.get(
-                "max_depth",
-                getattr(self.options, "eval_depth_limit", 200_000))
+                "max_depth", self.options.eval_depth_limit)
         before = evaluator.stats.snapshot() if reuse else None
 
         def go() -> Any:
@@ -271,7 +266,7 @@ class CompiledProgram:
 
         ok = False
         try:
-            result = with_big_stack(go) if big_stack else go()
+            result = with_big_stack(go)
             ok = True
         finally:
             stats = evaluator.stats
@@ -289,9 +284,7 @@ class CompiledProgram:
         handy for tests and the examples."""
         ensure_recursion_headroom()
         expr = desugar_expr(
-            parse_expr(
-                source,
-                max_depth=getattr(self.options, "max_parse_depth", 300)),
+            parse_expr(source, max_depth=self.options.max_parse_depth),
             self.options.overload_literals)
         with self._lock:
             # Use a scratch inferencer so defaulting does not pollute
@@ -327,7 +320,7 @@ class CompiledProgram:
         import copy
         clone = copy.copy(self)
         clone.core = shake(self.core, roots)
-        if getattr(self.options, "lint", False):
+        if self.options.lint:
             from repro.coreir.lint import lint_program
             lint_program(clone.core, con_arity=self._arity_map(),
                          class_env=self.class_env, pass_name="shake")

@@ -178,9 +178,6 @@ class Parser:
     def at_varid(self) -> bool:
         return self.peek().type is TokenType.VARID
 
-    def at_conid(self) -> bool:
-        return self.peek().type is TokenType.CONID
-
     def expect_varid(self, context: str) -> Token:
         tok = self.peek()
         if tok.type is TokenType.VARID:

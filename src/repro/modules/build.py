@@ -60,6 +60,11 @@ from repro.service.snapshot import PreludeSnapshot, get_default_snapshot
 
 _GENERATED_MARK = "$"
 
+#: *jobs* of a build that passes none: distributed compiles in flight
+#: (at least one per worker); a local build compiles on the calling
+#: thread and only echoes it
+DEFAULT_JOBS = 4
+
 
 def _generated(name: str) -> bool:
     """Compiler-generated top level (dictionaries, method impls,
@@ -653,7 +658,7 @@ class ModuleBuilder:
         """
         t0 = time.perf_counter()
         if jobs is None:
-            jobs = self.options.build_jobs
+            jobs = DEFAULT_JOBS
         jobs = max(1, int(jobs))
         if pool is not None:
             # One submitter thread per shard keeps every worker busy;

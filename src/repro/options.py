@@ -20,6 +20,13 @@ a flag here, so that the benchmarks can run controlled ablations:
 * ``call_by_need`` — the evaluator's sharing mode; switching it off
   (call-by-name) reproduces the "implementation that is not fully lazy"
   whose repeated dictionary construction motivates section 8.8.
+
+The resource limits and the service settings that follow them are
+here because some caller sets them.  A service setting that no caller
+varies is a constant of the module that reads it (the server's queue
+depth and expression-memo size, the drain grace, the timeout ceiling,
+the distributed build's jobs and the provenance minimization cap; see
+docs/SERVICE.md, "Fixed values").
 """
 
 from __future__ import annotations
@@ -36,7 +43,9 @@ from dataclasses import dataclass, field, replace
 #: turning the core lint on — does not invalidate every cached
 #: program.  (``lint`` belongs here precisely because it never changes
 #: what is compiled, only whether the result is verified; note the
-#: corollary that a compile-cache hit skips the lint.)
+#: corollary that a compile-cache hit skips the lint.)  Each one has
+#: a second value in use, is a deployment setting, or protects the
+#: server from its input.
 SERVICE_OPTION_FIELDS = (
     "cache_size",
     "cache_dir",
@@ -44,21 +53,13 @@ SERVICE_OPTION_FIELDS = (
     "server_host",
     "server_port",
     "server_shards",
-    "server_queue_depth",
     "server_rate_limit",
-    "server_expr_cache",
-    "server_drain_grace",
     "request_timeout",
-    "request_timeout_ceiling",
-    "build_jobs",
     "lint",
     # Provenance only changes how *failures* are reported (positions on
     # diagnostics), never what a successful compile produces, so it must
     # not invalidate cached programs.
     "constraint_provenance",
-    # The minimization cap bounds diagnostic *effort* on failures only;
-    # like constraint_provenance it never changes a successful compile.
-    "provenance_minimize_cap",
 )
 
 
@@ -118,30 +119,17 @@ class CompilerOptions:
     cache_size: int = 64          # in-memory compile cache capacity
     cache_dir: str = ""           # "" = memory only; a path enables disk cache
     cache_disk_budget: int = 0    # max bytes for the disk tier (0 = unlimited)
-    #: distributed `repro build` compiles in flight (at least one per
-    #: worker); a local build compiles on the calling thread
-    build_jobs: int = 4
     server_host: str = "127.0.0.1"
     server_port: int = 0          # 0 = pick an ephemeral port
     #: worker *processes* behind the async front; 0 = in-process
     #: threads (no sharding), N > 0 = N processes, each with its own
     #: prelude snapshot + compile cache, sharded by content hash
     server_shards: int = 0
-    #: per-shard outstanding-request ceiling; requests beyond it are
-    #: shed with a ``service.overloaded`` error (admission control)
-    server_queue_depth: int = 64
     #: per-connection token-bucket rate limit, requests/second
     #: (0 = unlimited; burst twice the rate); excess requests fail
     #: ``service.rate-limited``
     server_rate_limit: float = 0.0
-    #: compiled-expression memo entries per service (0 disables)
-    server_expr_cache: int = 512
-    #: graceful-drain deadline on SIGTERM/drain(), seconds
-    server_drain_grace: float = 5.0
     request_timeout: float = 10.0  # per-request budget, seconds (0 = none)
-    #: ceiling for the client-supplied per-request ``timeout`` field;
-    #: out-of-range values are rejected (``service.limit-exceeded``)
-    request_timeout_ceiling: float = 120.0
 
     # ---- development harness
     #: run the core lint (repro.coreir.lint) on the output of every
@@ -150,13 +138,10 @@ class CompilerOptions:
     #: track constraint origins during inference and, on a type error,
     #: minimize the recorded constraint set into a multi-location
     #: ``positions`` diagnostic (docs/SERVICE.md); also rolls failed
-    #: inference episodes back, keeping shared inferencers clean
+    #: inference episodes back, keeping shared inferencers clean.
+    #: Sets larger than ``repro.core.unify.DEFAULT_MINIMIZE_CAP`` are
+    #: not minimized.
     constraint_provenance: bool = True
-    #: constraint sets larger than this are not minimized (deletion-
-    #: based minimization is quadratic in replays); hits are counted as
-    #: the ``provenance.minimize-capped`` phase counter.  0 disables
-    #: minimization entirely.
-    provenance_minimize_cap: int = 300
 
     def with_(self, **kwargs) -> "CompilerOptions":
         """A copy with some fields replaced (ablation helper)."""

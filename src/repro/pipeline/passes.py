@@ -35,7 +35,7 @@ from repro.pipeline.manager import Pass, PassManager
 def _parse(ctx: CompileContext, unit: SourceUnit) -> None:
     unit.program = parse_program(
         unit.text, unit.filename,
-        max_depth=getattr(ctx.options, "max_parse_depth", 300),
+        max_depth=ctx.options.max_parse_depth,
         fixities=ctx.fixities)
     if unit.program.imports and not ctx.imports_resolved:
         imp = unit.program.imports[0]
@@ -122,13 +122,12 @@ def _note_specialization(ctx: CompileContext, pass_name: str,
         ctx.trace.add_counter(pass_name, "budget_exhausted", 1)
         from repro.errors import SpecializeBudgetWarning
         ctx.inferencer.warnings.append(SpecializeBudgetWarning(
-            pass_name, getattr(ctx.options, "specialize_budget", 400)))
+            pass_name, ctx.options.specialize_budget))
 
 
 def _specialize(ctx: CompileContext) -> None:
     from repro.transform.specialize import Specializer
-    spec = Specializer(ctx.core,
-                       budget=getattr(ctx.options, "specialize_budget", 400))
+    spec = Specializer(ctx.core, budget=ctx.options.specialize_budget)
     ctx.core = spec.run()
     _note_specialization(ctx, "specialize", spec.report)
 
@@ -137,7 +136,7 @@ def _specialize_xmodule(ctx: CompileContext) -> None:
     from repro.specialize.xlink import xmodule_specialize
     ctx.core, report = xmodule_specialize(
         ctx.core, ctx.module_origins, ctx.unfoldings,
-        budget=getattr(ctx.options, "specialize_budget", 400))
+        budget=ctx.options.specialize_budget)
     _note_specialization(ctx, "specialize-xmodule", report)
 
 
@@ -177,7 +176,7 @@ DEFAULT_PASSES = (
          enabled=lambda o: o.specialize,
          doc="§9 type-specific clones at constant dictionaries"),
     Pass("specialize-xmodule", _specialize_xmodule,
-         enabled=lambda o: getattr(o, "specialize_xmodule", True),
+         enabled=lambda o: o.specialize_xmodule,
          # Armed only by link_modules (it alone knows binding origins);
          # single-file and per-module compiles skip it entirely.
          applies=lambda ctx: ctx.module_origins is not None,
@@ -191,7 +190,7 @@ def _lint_verifier(pass_name: str, ctx: CompileContext) -> bool:
     program after every pass that has one (i.e. translate onward —
     the front-end passes have nothing to check yet).  Returns True
     when a lint actually ran, so the manager can time it."""
-    if not getattr(ctx.options, "lint", False) or ctx.core is None:
+    if not ctx.options.lint or ctx.core is None:
         return False
     from repro.coreir.lint import lint_program
     # Right after translation the selector bindings do not exist yet,

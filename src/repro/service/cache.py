@@ -54,7 +54,10 @@ DISK_HEADER = b"repro-cc" + bytes([FORMAT_VERSION])
 
 
 def source_hash(source: str) -> str:
-    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+    # surrogatepass: a lone surrogate must reach the compiler, not fail
+    # here; valid text encodes to the same bytes either way
+    return hashlib.sha256(
+        source.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 def cache_key(source: str, options: CompilerOptions,

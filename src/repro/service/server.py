@@ -34,6 +34,7 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.coreir.eval import BIG_STACK_MB, mark_big_stack
 from repro.errors import ReproError, ServiceLimitError
 from repro.options import CompilerOptions, options_fingerprint
 from repro.service.cache import CompileCache, cache_key, resolve_cache_dir
@@ -43,7 +44,7 @@ from repro.service.metrics import (
     merge_metric_snapshots,
 )
 from repro.service.snapshot import get_default_snapshot
-from repro.service.worker import STACK_MB, LocalPool, WorkerPool
+from repro.service.worker import DRAIN_GRACE, LocalPool, WorkerPool
 
 PROTOCOL_VERSION = 1
 #: serving-stack version, reported by ``ping`` (bumped with the
@@ -53,6 +54,18 @@ SERVER_VERSION = "2.0"
 #: the memo stage answers an ``eval`` on the event loop when its
 #: memoized expression's moving-average latency is at most this
 MEMO_STAGE_SECONDS = 0.002
+
+#: entries of each service's compiled-expression memo, and of its
+#: typeof memo
+EXPR_MEMO_SIZE = 512
+
+#: per-shard outstanding-request ceiling; requests beyond it are shed
+#: with a ``service.overloaded`` error (admission control)
+QUEUE_DEPTH = 64
+
+#: ceiling for the client-supplied per-request ``timeout`` field,
+#: seconds; larger values are rejected (``service.limit-exceeded``)
+TIMEOUT_CEILING = 120.0
 
 #: budget for gathering every shard's ``stats``
 STATS_TIMEOUT = 30.0
@@ -196,14 +209,10 @@ class CompileService:
     # ------------------------------------------- expression compilation memo
 
     def _compiled_entry(self, key: str, program: Any,
-                        expr: str) -> Optional[List[Any]]:
+                        expr: str) -> List[Any]:
         """The memoised ``[CompiledExpr, ema_seconds]`` entry for
-        ``(key, expr)``, compiling on a miss; None when the memo is
-        disabled.  ``ema_seconds`` (None until the first run) feeds the
-        decision in :meth:`memo_stage`."""
-        capacity = self.options.server_expr_cache
-        if capacity <= 0:
-            return None
+        ``(key, expr)``, compiling on a miss.  ``ema_seconds`` (None
+        until the first run) feeds the decision in :meth:`memo_stage`."""
         memo_key = (key, expr)
         with self._expr_lock:
             entry = self._expr_cache.get(memo_key)
@@ -218,7 +227,7 @@ class CompileService:
             if existing is not None:
                 return existing
             self._expr_cache[memo_key] = entry
-            while len(self._expr_cache) > capacity:
+            while len(self._expr_cache) > EXPR_MEMO_SIZE:
                 self._expr_cache.popitem(last=False)
         self.metrics.incr("expr_cache_misses")
         return entry
@@ -226,9 +235,6 @@ class CompileService:
     def _memoized_type(self, key: str, program: Any, expr: str) -> str:
         """``typeof`` through the memo — inference is pure per
         program, so one expression infers once."""
-        capacity = self.options.server_expr_cache
-        if capacity <= 0:
-            return program.type_of(expr)
         memo_key = (key, expr)
         with self._expr_lock:
             printed = self._typeof_cache.get(memo_key)
@@ -239,7 +245,7 @@ class CompileService:
         printed = program.type_of(expr)
         with self._expr_lock:
             self._typeof_cache[memo_key] = printed
-            while len(self._typeof_cache) > capacity:
+            while len(self._typeof_cache) > EXPR_MEMO_SIZE:
                 self._typeof_cache.popitem(last=False)
         self.metrics.incr("expr_cache_misses")
         return printed
@@ -252,8 +258,7 @@ class CompileService:
         still cached, so nothing compiles.  The front door calls this
         on its event loop, skipping the thread hop for the hot path.
         Returns None when the request must go on to admission."""
-        if not isinstance(request, dict) \
-                or self.options.server_expr_cache <= 0:
+        if not isinstance(request, dict):
             return None
         op = request.get("op")
         expr = request.get("expr")
@@ -349,9 +354,7 @@ class CompileService:
         asked for."""
         overrides: Dict[str, Any] = {}
         for name, ceiling in (("step_limit", self.options.eval_step_limit),
-                              ("max_depth",
-                               getattr(self.options, "eval_depth_limit",
-                                       200_000))):
+                              ("max_depth", self.options.eval_depth_limit)):
             if name not in request:
                 continue
             try:
@@ -372,21 +375,13 @@ class CompileService:
         from repro.cli import render
         entry = self._compiled_entry(key, program, expr)
         t0 = time.perf_counter()
-        if entry is None:
-            value = program.eval(expr, big_stack=False, **overrides)
-        else:
-            value = program.eval_compiled(entry[0], big_stack=False,
-                                          reuse=not overrides, **overrides)
+        value = program.eval_compiled(entry[0], reuse=not overrides,
+                                      **overrides)
         elapsed = time.perf_counter() - t0
-        if entry is not None:
-            # Exponential moving average of this expression's latency;
-            # the memo stage trusts it to run cheap requests inline.
-            # Timed across *either* branch: when eval falls back to
-            # ``program.eval`` the estimate must still age, or one slow
-            # fallback-path expression could keep a stale "fast"
-            # verdict forever.
-            entry[1] = elapsed if entry[1] is None \
-                else 0.8 * entry[1] + 0.2 * elapsed
+        # Exponential moving average of this expression's latency; the
+        # memo stage trusts it to run cheap requests inline.
+        entry[1] = elapsed if entry[1] is None \
+            else 0.8 * entry[1] + 0.2 * elapsed
         result: Dict[str, Any] = {"program": key, "value": render(value)}
         stats = program.last_stats
         if stats is not None:
@@ -650,7 +645,7 @@ class CompileServer:
         self._loop = loop
         # The loop thread gets a big stack too: the memo stage runs
         # evals directly on it.
-        old = threading.stack_size(STACK_MB * 1024 * 1024)
+        old = threading.stack_size(BIG_STACK_MB * 1024 * 1024)
         try:
             thread = threading.Thread(target=self._loop_main,
                                       name="repro-front", daemon=True)
@@ -661,8 +656,7 @@ class CompileServer:
         return loop
 
     def _loop_main(self) -> None:
-        if sys.getrecursionlimit() < 1_000_000:
-            sys.setrecursionlimit(1_000_000)
+        mark_big_stack()
         asyncio.set_event_loop(self._loop)
         self._loop.run_forever()
 
@@ -764,11 +758,11 @@ class CompileServer:
 
     def drain(self, grace: Optional[float] = None) -> None:
         """Graceful shutdown: stop accepting connections, give
-        in-flight requests up to *grace* seconds
-        (``server_drain_grace``) to finish, then stop.  ``repro
-        serve`` wires SIGTERM to this."""
+        in-flight requests up to *grace* seconds (default
+        :data:`~repro.service.worker.DRAIN_GRACE`) to finish, then
+        stop.  ``repro serve`` wires SIGTERM to this."""
         if grace is None:
-            grace = self.options.server_drain_grace
+            grace = DRAIN_GRACE
         self._draining = True
         loop = self._loop
         if loop is not None and loop.is_running():
@@ -922,13 +916,13 @@ class CompileServer:
                 return True
         shard = self._route(fields)
         queued = self.pool.outstanding(shard)
-        if queued >= max(1, self.options.server_queue_depth):
+        if queued >= QUEUE_DEPTH:
             where = f"shard {shard}" if self.service is None \
                 else "the server"
             await stream.send(self._reject(request_id, _error(
                 "overloaded",
                 f"{where} has {queued} requests outstanding (queue depth "
-                f"{self.options.server_queue_depth}); retry with backoff",
+                f"{QUEUE_DEPTH}); retry with backoff",
                 code="service.overloaded"), "shed_total"))
             return True
         # Submitted before the next line is read, so the requests of a
@@ -1010,7 +1004,7 @@ class CompileServer:
 
     def _request_timeout(self, request: Dict[str, Any]) -> Optional[float]:
         """The request's time budget, honouring the client's
-        ``timeout`` field up to ``request_timeout_ceiling`` (beyond it:
+        ``timeout`` field up to :data:`TIMEOUT_CEILING` (beyond it:
         ``service.limit-exceeded``)."""
         timeout = self.options.request_timeout
         if "timeout" in request:
@@ -1019,9 +1013,9 @@ class CompileServer:
             except (TypeError, ValueError):
                 requested = None
             if requested is not None:
-                ceiling = self.options.request_timeout_ceiling
-                if ceiling and requested > ceiling:
-                    raise ServiceLimitError("timeout", requested, ceiling)
+                if requested > TIMEOUT_CEILING:
+                    raise ServiceLimitError("timeout", requested,
+                                            TIMEOUT_CEILING)
                 timeout = requested
         return timeout if timeout and timeout > 0 else None
 

@@ -41,12 +41,12 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import sys
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Any, Dict, List, Optional
 
+from repro.coreir.eval import BIG_STACK_MB, mark_big_stack
 from repro.options import CompilerOptions
 
 #: fallback request budget for pool management traffic (stats, drain)
@@ -55,11 +55,9 @@ _MGMT_TIMEOUT = 30.0
 #: request-handling threads of the in-process backend
 LOCAL_THREADS = 4
 
-#: thread stack size for request handling: interpreted evaluation
-#: nests deeply (see :func:`repro.coreir.eval.with_big_stack`), and a
-#: default-sized stack overflows fatally, below Python.  The memory is
-#: virtual: untouched pages cost nothing.
-STACK_MB = 512
+#: graceful-drain deadline of ``CompileServer.drain`` and
+#: :meth:`WorkerPool.stop`, seconds
+DRAIN_GRACE = 5.0
 
 
 def _crash_error(message: str) -> Dict[str, Any]:
@@ -81,21 +79,21 @@ def _worker_main(conn, options: CompilerOptions, index: int) -> None:
     """Child-process entry point: serve requests off *conn* serially.
 
     The pipe is read on the child's main thread; requests execute on a
-    single dedicated big-stack thread (interpreted evaluation nests
-    deeply — see :func:`repro.coreir.eval.with_big_stack`), which also
-    writes the responses so they leave in sequence order.  A ``None``
+    single dedicated big-stack thread, marked as one (interpreted
+    evaluation nests deeply — see
+    :func:`repro.coreir.eval.with_big_stack`), which also writes the
+    responses so they leave in sequence order.  A ``None``
     sentinel drains: queued requests finish, then the process exits.
     """
     import queue as queue_mod
 
     from repro.service.server import CompileService
 
-    if sys.getrecursionlimit() < 1_000_000:
-        sys.setrecursionlimit(1_000_000)
     service = CompileService(options)
     work: "queue_mod.Queue" = queue_mod.Queue()
 
     def run() -> None:
+        mark_big_stack()
         while True:
             item = work.get()
             if item is None:
@@ -112,7 +110,7 @@ def _worker_main(conn, options: CompilerOptions, index: int) -> None:
             except (BrokenPipeError, OSError):
                 return
 
-    old = threading.stack_size(STACK_MB * 1024 * 1024)
+    old = threading.stack_size(BIG_STACK_MB * 1024 * 1024)
     try:
         handler = threading.Thread(target=run, name=f"repro-shard{index}",
                                    daemon=True)
@@ -345,7 +343,7 @@ class WorkerPool:
             return
         self._stopped = True
         if grace is None:
-            grace = self.options.server_drain_grace
+            grace = DRAIN_GRACE
         per_shard = max(0.1, grace)
         threads = [threading.Thread(target=s.stop, args=(per_shard,),
                                     daemon=True)
@@ -380,8 +378,8 @@ class WorkerPool:
 class LocalPool:
     """The in-process backend: one shard — a single
     :class:`~repro.service.server.CompileService` — served by
-    :data:`LOCAL_THREADS` big-stack threads, behind the same interface
-    as :class:`WorkerPool`.
+    :data:`LOCAL_THREADS` big-stack threads, each marked as one, behind
+    the same interface as :class:`WorkerPool`.
 
     A request counts as outstanding from :meth:`submit` until its
     thread returns, whatever the front door's timeout did meanwhile:
@@ -396,15 +394,14 @@ class LocalPool:
         self._outstanding = 0
         self._stopped = False
         self._lock = threading.Lock()
-        if sys.getrecursionlimit() < 1_000_000:
-            sys.setrecursionlimit(1_000_000)
         # Stack size is fixed at thread creation and the executor spawns
         # threads lazily, so every thread is forced into existence here,
         # inside the enlarged-stack window.
-        old = threading.stack_size(STACK_MB * 1024 * 1024)
+        old = threading.stack_size(BIG_STACK_MB * 1024 * 1024)
         try:
             self._executor = ThreadPoolExecutor(
-                max_workers=LOCAL_THREADS, thread_name_prefix="repro-worker")
+                max_workers=LOCAL_THREADS, thread_name_prefix="repro-worker",
+                initializer=mark_big_stack)
             ready = threading.Barrier(LOCAL_THREADS + 1)
             started = [self._executor.submit(ready.wait)
                        for _ in range(LOCAL_THREADS)]

@@ -93,6 +93,8 @@ def unfold_fingerprint(unfoldings: Dict[str, Unfolding]) -> str:
     h = hashlib.sha256()
     h.update(b"repro-unfoldings\x00")
     for name in sorted(unfoldings):
-        h.update(unfoldings[name].render().encode("utf-8"))
+        # surrogatepass: a string literal may hold a lone surrogate
+        h.update(unfoldings[name].render().encode("utf-8",
+                                                  "surrogatepass"))
         h.update(b"\x00")
     return h.hexdigest()

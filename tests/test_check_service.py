@@ -188,7 +188,7 @@ class TestFastPathKeyResolution:
     the key the op itself resolves to, never the raw request handle."""
 
     def _service(self) -> CompileService:
-        return CompileService(CompilerOptions(server_expr_cache=8))
+        return CompileService(CompilerOptions())
 
     def test_typeof_by_source_takes_fast_path(self):
         svc = self._service()
@@ -232,11 +232,11 @@ class TestFastPathKeyResolution:
 
 
 class TestEvalLatencyEstimate:
-    """Satellite: the eval EMA must be recorded on every branch of
-    ``_op_eval``, not only the memoised-evaluator one."""
+    """The eval EMA must be recorded on every ``eval``, with budget
+    overrides too."""
 
     def test_ema_recorded_on_plain_eval(self):
-        svc = CompileService(CompilerOptions(server_expr_cache=8))
+        svc = CompileService(CompilerOptions())
         key = svc.handle({"op": "compile",
                           "source": "v = 41"})["result"]["program"]
         svc.handle({"op": "eval", "program": key, "expr": "v + 1"})
@@ -247,7 +247,7 @@ class TestEvalLatencyEstimate:
         # Overrides (step_limit) disable evaluator reuse but must not
         # disable latency accounting — a stale "fast" estimate would
         # let the memo stage run a slow expression on the event loop.
-        svc = CompileService(CompilerOptions(server_expr_cache=8))
+        svc = CompileService(CompilerOptions())
         key = svc.handle({"op": "compile",
                           "source": "v = 41"})["result"]["program"]
         svc.handle({"op": "eval", "program": key, "expr": "v",
@@ -256,7 +256,7 @@ class TestEvalLatencyEstimate:
         assert entry[1] is not None
 
     def test_ema_ages_across_requests(self):
-        svc = CompileService(CompilerOptions(server_expr_cache=8))
+        svc = CompileService(CompilerOptions())
         key = svc.handle({"op": "compile",
                           "source": "v = 41"})["result"]["program"]
         svc.handle({"op": "eval", "program": key, "expr": "v"})

@@ -209,6 +209,14 @@ class TestOptions:
         with pytest.raises(SystemExit):
             main(["run", program_file, "--set", "warp_speed=9"])
 
+    @pytest.mark.parametrize("name", [
+        "server_queue_depth", "server_expr_cache", "server_drain_grace",
+        "request_timeout_ceiling", "provenance_minimize_cap", "build_jobs"])
+    def test_fixed_service_values_are_not_options(self, program_file, name):
+        # Fixed values are module constants (docs/SERVICE.md).
+        with pytest.raises(SystemExit, match="unknown option"):
+            main(["run", program_file, "--set", f"{name}=9"])
+
     def test_bad_boolean_rejected(self, program_file):
         with pytest.raises(SystemExit):
             main(["run", program_file, "--set",

@@ -238,7 +238,7 @@ class TestLazinessEdgeCases:
 
     def test_deep_right_fold_with_big_stack(self, run_main):
         src = "main = foldr (+) 0 (enumFromTo 1 3000)"
-        assert run_main(src, big_stack=True) == 3000 * 3001 // 2
+        assert run_main(src) == 3000 * 3001 // 2
 
 
 class TestBackendParityOnEdgeCases:

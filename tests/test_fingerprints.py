@@ -56,16 +56,10 @@ SERVICE_OVERRIDES = {
     "server_host": "0.0.0.0",
     "server_port": 7433,
     "request_timeout": 99.5,
-    "build_jobs": 2,
     "lint": True,
     "server_shards": 4,
-    "server_queue_depth": 7,
     "server_rate_limit": 250.0,
-    "server_expr_cache": 64,
-    "server_drain_grace": 11.0,
-    "request_timeout_ceiling": 30.0,
     "constraint_provenance": False,
-    "provenance_minimize_cap": 64,
 }
 
 
@@ -155,3 +149,31 @@ class TestKnownGoodDigests:
         # ... which is exactly what test_default_options_fingerprint
         # _pinned would catch on the real dataclass, forcing the author
         # to add the field to SERVICE_OPTION_FIELDS instead.
+
+
+class TestEveryFieldIsRead:
+    def test_every_field_is_read_outside_options(self):
+        # A setting that no code reads is a constant in disguise: every
+        # field must be loaded as ``<...>options.<field>`` (or
+        # ``o.<field>`` in a pass's ``enabled`` predicate) somewhere in
+        # the package besides options.py.
+        import ast
+        import pathlib
+
+        import repro
+        root = pathlib.Path(repro.__file__).parent
+        read = set()
+        for path in root.rglob("*.py"):
+            if path == root / "options.py":
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Load):
+                    owner = node.value
+                    name = owner.id if isinstance(owner, ast.Name) \
+                        else getattr(owner, "attr", "")
+                    if name == "o" or name.endswith("options"):
+                        read.add(node.attr)
+        fields = {f.name for f in dataclasses.fields(CompilerOptions)}
+        assert fields - read == set()

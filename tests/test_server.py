@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro import CompilerOptions, compile_source
+from repro.service import server as server_module
 from repro.service.server import (
     PROTOCOL_VERSION,
     CompileServer,
@@ -253,9 +254,9 @@ class TestAdmissionControl:
     """Backpressure, per-connection rate limits, and server-side
     ceilings on client-supplied budgets."""
 
-    def test_overload_sheds_with_structured_error(self):
-        options = CompilerOptions(server_queue_depth=1,
-                                  request_timeout=60.0)
+    def test_overload_sheds_with_structured_error(self, monkeypatch):
+        monkeypatch.setattr(server_module, "QUEUE_DEPTH", 1)
+        options = CompilerOptions(request_timeout=60.0)
         srv = CompileServer(service=CompileService(options))
         port = srv.start()
         try:
@@ -308,13 +309,14 @@ class TestAdmissionControl:
         finally:
             srv.stop()
 
-    def test_timed_out_threads_stay_admitted(self):
+    def test_timed_out_threads_stay_admitted(self, monkeypatch):
         # Threads cannot be killed: a request that timed out still
         # occupies its thread until it returns, so admission must keep
         # counting it — or the next request queues behind the runaways
         # and times out instead of being shed.  The step limit bounds
         # the runaways so their threads end.
-        options = CompilerOptions(server_queue_depth=4, request_timeout=0.5)
+        monkeypatch.setattr(server_module, "QUEUE_DEPTH", 4)
+        options = CompilerOptions(request_timeout=0.5)
         srv = CompileServer(service=CompileService(options))
         port = srv.start()
         try:
@@ -340,8 +342,7 @@ class TestAdmissionControl:
 
     @pytest.fixture(scope="class")
     def ceiling_server(self):
-        options = CompilerOptions(eval_step_limit=100_000,
-                                  request_timeout_ceiling=30.0)
+        options = CompilerOptions(eval_step_limit=100_000)
         srv = CompileServer(service=CompileService(options))
         port = srv.start()
         yield port
@@ -437,6 +438,45 @@ class TestLocalPool:
         pool.stop()
         assert pool.outstanding(0) == 0
         assert pool.info()[0]["requests"] == 320
+
+    def test_big_stack_work_stays_on_a_pool_thread(self):
+        # The pool's threads are started with a big stack and marked:
+        # with_big_stack runs inline there, and starts a thread only
+        # for an unmarked caller.
+        from types import SimpleNamespace
+
+        from repro.coreir.eval import with_big_stack
+
+        def handle(_request):
+            return (threading.current_thread(),
+                    with_big_stack(threading.current_thread))
+
+        pool = LocalPool(SimpleNamespace(snapshot=None, handle=handle))
+        try:
+            caller, ran_on = pool.submit({}).result(timeout=30)
+        finally:
+            pool.stop()
+        assert ran_on is caller
+        assert caller.name.startswith("repro-worker")
+        here = threading.current_thread()
+        assert with_big_stack(threading.current_thread) is not here
+
+    def test_recursion_limit_is_raised_again_after_a_pool(self):
+        # Marked threads keep the big-stack count up for good; a
+        # recursion limit lowered since (a test harness restoring its
+        # own, say) must still be raised for the next big-stack thread.
+        from types import SimpleNamespace
+
+        from tests.fuzz.corpus import DEEP_RECURSION_OK
+
+        LocalPool(SimpleNamespace(snapshot=None, handle=dict)).stop()
+        program = compile_source(DEEP_RECURSION_OK)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(50_000)
+        try:
+            assert program.run("main") == 100000
+        finally:
+            sys.setrecursionlimit(old)
 
 
 class TestTransport:

@@ -38,7 +38,7 @@ class TestKeys:
             != cache_key("main = 1", other, FP)
 
     def test_service_options_do_not_invalidate(self):
-        tuned = CompilerOptions(cache_size=3, server_queue_depth=9,
+        tuned = CompilerOptions(cache_size=3, server_rate_limit=9.0,
                                 request_timeout=1.5)
         assert cache_key("main = 1", OPTS, FP) \
             == cache_key("main = 1", tuned, FP)
@@ -51,6 +51,50 @@ class TestKeys:
         digest = source_hash("main = 1")
         assert len(digest) == 64
         int(digest, 16)  # hex
+
+
+class TestLoneSurrogates:
+    """A lone surrogate (JSON ``"\\ud800"``) is program text like any
+    other: the service's keys must not choke on it before the compiler
+    sees it."""
+
+    COMMENT = "-- \ud800\n"
+    MAIN = "module Main where\nimport Lib\nmain = twice 21\n"
+    LIB = ("module Lib where\n" + COMMENT
+           + "twice :: Int -> Int\ntwice x = x + x\n")
+
+    @pytest.fixture(scope="class")
+    def service(self):
+        from repro.service.server import CompileService
+        return CompileService(CompilerOptions())
+
+    @pytest.mark.parametrize("request_", [
+        {"op": "compile", "source": COMMENT + "main = 1\n"},
+        {"op": "eval", "source": COMMENT + "main = 1\n", "expr": "main"},
+        {"op": "build", "modules": [{"source": LIB}, {"source": MAIN}]},
+        {"op": "check", "modules": [{"source": LIB}, {"source": MAIN}]},
+    ], ids=["compile", "eval", "build", "check"])
+    def test_surrogate_in_a_comment(self, service, request_):
+        response = service.handle(request_)
+        assert response["ok"], response
+        if request_["op"] == "eval":
+            assert response["result"]["value"] == "1"
+        if request_["op"] == "check":
+            assert response["result"]["ok"]
+
+    def test_surrogate_in_an_unfolded_literal(self, service):
+        # An overloaded export ships an unfolding, whose digest covers
+        # the literal's text.
+        lib = ("module Lib (f) where\nf :: Eq a => a -> [Char]\n"
+               "f x = if x == x then \"\ud800\" else \"\"\n")
+        main = "module Main where\nimport Lib\nmain = f True\n"
+        response = service.handle(
+            {"op": "build", "modules": [{"source": lib}, {"source": main}]})
+        assert response["ok"], response
+        value = service.handle({"op": "eval",
+                                "program": response["result"]["program"],
+                                "expr": "length main"})
+        assert value["result"]["value"] == "1", value
 
 
 class TestLRU:

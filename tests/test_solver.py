@@ -293,17 +293,11 @@ class TestAncestorMemoization:
 
 
 # ---------------------------------------------------------------------------
-# Provenance minimization cap (Options.provenance_minimize_cap)
+# Provenance minimization cap (repro.core.unify.DEFAULT_MINIMIZE_CAP)
 # ---------------------------------------------------------------------------
 
 
 class TestMinimizeCap:
-    def test_cap_reaches_the_unifier(self):
-        from repro.pipeline import CompileContext
-        options = CompilerOptions(provenance_minimize_cap=7)
-        ctx = CompileContext.fresh(options, [("main = 1", "<t>")])
-        assert ctx.inferencer.unifier.minimize_cap == 7
-
     def test_capped_minimization_counts(self):
         unifier = Unifier(ClassEnv(), provenance=True, minimize_cap=1)
         from repro.core.types import T_BOOL
@@ -329,10 +323,6 @@ class TestMinimizeCap:
         trace = PhaseTrace()
         trace.finish(unifier)
         assert trace.counters("infer")["provenance.minimize-capped"] == 3
-
-    def test_cap_is_service_only(self):
-        from repro.options import SERVICE_OPTION_FIELDS
-        assert "provenance_minimize_cap" in SERVICE_OPTION_FIELDS
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Stress tests: scale along each axis the implementation could be
 quadratic or recursion-limited on."""
 
+import sys
+import threading
 
 from repro import CompilerOptions, compile_source
 
@@ -14,7 +16,7 @@ class TestCompilationScale:
             lines.append(f"f{i} x = f{i - 1} x + 1")
         lines.append(f"main = f{n - 1} 0")
         program = compile_source("\n".join(lines))
-        assert program.run("main", big_stack=True) == n
+        assert program.run("main") == n
 
     def test_many_instances(self):
         parts = []
@@ -58,7 +60,7 @@ class TestCompilationScale:
         for i in range(150):
             expr = f"({expr} + 1)"
         program = compile_source(f"main = {expr} :: Int")
-        assert program.run("main", big_stack=True) == 150
+        assert program.run("main") == 150
 
     def test_deeply_nested_list_type(self):
         depth = 12
@@ -78,13 +80,13 @@ class TestRuntimeScale:
         program = compile_source(
             "shuffled = map (\\i -> mod (i * 7919) 1000) (enumFromTo 1 1000)\n"
             "main = (length (sort shuffled), head (sort shuffled))")
-        n, first = program.run("main", big_stack=True)
+        n, first = program.run("main")
         assert n == 1000
         assert first == 0 or first >= 0
 
     def test_member_5000(self):
         program = compile_source("main = member 0 (enumFromTo 1 5000)")
-        assert program.run("main", big_stack=True) is False
+        assert program.run("main") is False
 
     def test_compiled_backend_deep_recursion(self):
         program = compile_source(
@@ -98,4 +100,32 @@ class TestRuntimeScale:
     def test_show_large_structure(self):
         program = compile_source(
             "main = length (show (enumFromTo 1 300))")
-        assert program.run("main", big_stack=True) > 900
+        assert program.run("main") > 900
+
+
+class TestBigStackThreads:
+    def test_concurrent_callers_never_see_the_floor_restored(self):
+        # The recursion limit is process-global and shared by every
+        # big-stack thread: no thread may see it restored below the
+        # floor while another is still running.
+        from repro.coreir.eval import (BIG_STACK_RECURSION_LIMIT,
+                                       with_big_stack)
+        seen = []
+
+        def worker() -> None:
+            for _ in range(20):
+                seen.append(with_big_stack(sys.getrecursionlimit))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(seen) == 160
+        assert min(seen) >= BIG_STACK_RECURSION_LIMIT
