@@ -7,9 +7,8 @@ benchmark builds a synthetic N-module DAG and measures the properties
 that key design buys:
 
 * **cold build** — every module compiles, on the calling thread: a
-  local build starts no thread, because under the GIL the thread pool
-  it once used ran at 0.91x of serial (*jobs* sets only how many
-  compiles a distributed build keeps in flight);
+  build starts no thread, because under the GIL the thread pool it
+  once used ran at 0.91x of serial (*jobs* is only echoed);
 * **warm rebuild** — nothing changed, every module is a cache hit;
 * **body edit** — a change that leaves a module's exported surface
   alone keeps its interface fingerprint, so *only that module*

@@ -273,27 +273,18 @@ def cmd_build(args: argparse.Namespace) -> int:
     """Build a module tree: separate compilation, caching, linking."""
     from repro.modules import build_modules
     options = build_options(args.set or [], lint=getattr(args, "lint", False))
-    pool = None
-    shards = getattr(args, "distributed", 0) or 0
-    if shards > 0:
-        from repro.service.worker import WorkerPool
-        pool = WorkerPool(options, shards=shards)
     try:
-        result = build_modules(args.paths, options, jobs=args.jobs,
-                               out_dir=args.out, pool=pool)
+        result = build_modules(args.paths, options, out_dir=args.out)
     except ReproError as exc:
         print(_pretty_module_error(exc), file=sys.stderr)
         return 1
-    finally:
-        if pool is not None:
-            pool.stop()
     for name in result.order:
         info = result.modules[name]
         tag = "cached" if info["cached"] else "compiled"
         print(f"{name:<24} {tag:>8} {info['ms']:>9.1f} ms", file=sys.stderr)
     print(f"-- {len(result.order)} modules: {result.n_compiled} compiled, "
-          f"{result.n_cached} cached; {result.seconds * 1e3:.1f} ms "
-          f"(jobs={result.jobs})", file=sys.stderr)
+          f"{result.n_cached} cached; {result.seconds * 1e3:.1f} ms",
+          file=sys.stderr)
     program = result.program
     for warning in program.warnings:
         print(str(warning), file=sys.stderr)
@@ -522,14 +513,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_build.add_argument("paths", nargs="+",
                          help="module files (*.mhs) or directories "
                               "searched recursively")
-    p_build.add_argument("-j", "--jobs", type=int,
-                         help="distributed module compiles in flight "
-                              "(default 4); a local build compiles on "
-                              "one thread")
-    p_build.add_argument("--distributed", type=int, metavar="N", default=0,
-                         help="compile modules on N worker processes "
-                              "(the compile-server worker pool) instead "
-                              "of in this process")
     p_build.add_argument("--out", metavar="DIR",
                          help="write .ri interface files here")
     p_build.add_argument("--run", action="store_true",

@@ -30,7 +30,7 @@ from repro.core.types import Scheme, qual_type_str
 from repro.coreir.eval import (CodeTable, Evaluator, EvalStats,
                                value_to_python, with_big_stack)
 from repro.coreir.lint import check_generated_names
-from repro.coreir.syntax import CoreBinding, CoreExpr, CoreProgram
+from repro.coreir.syntax import CoreExpr, CoreProgram
 from repro.coreir.translate import Translator
 from repro.lang.desugar import desugar_expr
 from repro.lang.parser import parse_expr
@@ -122,18 +122,28 @@ class CompiledProgram:
 
     # ------------------------------------------------------------- running
 
-    def evaluator(self, **overrides: Any) -> Evaluator:
-        call_by_need = overrides.get("call_by_need",
-                                     self.options.call_by_need)
-        step_limit = overrides.get("step_limit",
-                                   self.options.eval_step_limit)
-        max_depth = overrides.get("max_depth", self.options.eval_depth_limit)
+    def evaluator(self, *, call_by_need: Optional[bool] = None,
+                  step_limit: Optional[int] = None,
+                  max_depth: Optional[int] = None) -> Evaluator:
+        """A fresh evaluator over this program.  A setting left None is
+        the program's option (``call_by_need``, ``eval_step_limit``,
+        ``eval_depth_limit``); :meth:`run`, :meth:`eval` and
+        :meth:`eval_compiled` take the same three."""
+        options = self.options
+        if call_by_need is None:
+            call_by_need = options.call_by_need
+        if step_limit is None:
+            step_limit = options.eval_step_limit
+        if max_depth is None:
+            max_depth = options.eval_depth_limit
         return Evaluator(self.core, PRIMITIVES(), call_by_need=call_by_need,
                          step_limit=step_limit, max_depth=max_depth,
                          code=self.code)
 
-    def run(self, name: str = "main", deep: bool = True,
-            **overrides: Any) -> Any:
+    def run(self, name: str = "main", deep: bool = True, *,
+            call_by_need: Optional[bool] = None,
+            step_limit: Optional[int] = None,
+            max_depth: Optional[int] = None) -> Any:
         """Evaluate the top-level binding *name* to a Python value.
 
         Deep work runs on a big-stack thread (:func:`with_big_stack`):
@@ -142,7 +152,9 @@ class CompiledProgram:
         recursion limit on a default-stack thread, which is how
         interpreters segfault.
         """
-        evaluator = self.evaluator(**overrides)
+        evaluator = self.evaluator(call_by_need=call_by_need,
+                                   step_limit=step_limit,
+                                   max_depth=max_depth)
 
         def go() -> Any:
             with recursion_fence(f"evaluation of '{name}'"):
@@ -191,8 +203,10 @@ class CompiledProgram:
         return CompiledExpr(source=source, core_expr=core_expr,
                             core_extra=tuple(core_extra))
 
-    def eval(self, source: str, deep: bool = True,
-             **overrides: Any) -> Any:
+    def eval(self, source: str, deep: bool = True, *,
+             call_by_need: Optional[bool] = None,
+             step_limit: Optional[int] = None,
+             max_depth: Optional[int] = None) -> Any:
         """Type check and evaluate an expression in this program's
         scope (e.g. ``program.eval("member 2 [1,2,3]")``).
 
@@ -200,7 +214,8 @@ class CompiledProgram:
         instead of mutating the caller's recursion limit.
         """
         return self.eval_compiled(self.compile_expr(source), deep=deep,
-                                  **overrides)
+                                  call_by_need=call_by_need,
+                                  step_limit=step_limit, max_depth=max_depth)
 
     # Cap on generated-name bindings a pooled evaluator may accumulate
     # (each distinct expression binds its helpers once) before it is
@@ -208,17 +223,15 @@ class CompiledProgram:
     _EVAL_POOL_EXTRAS = 8192
     _EVAL_POOL_SIZE = 4
 
-    def _acquire_evaluator(self, reuse: bool) -> Evaluator:
-        if reuse:
-            with self._lock:
-                if self._eval_pool:
-                    evaluator = self._eval_pool.pop()
-                    # The step budget is per request: count it from
-                    # this request's first step, not the evaluator's.
-                    if evaluator.step_limit:
-                        evaluator.limit = (evaluator.steps
-                                           + evaluator.step_limit)
-                    return evaluator
+    def _acquire_evaluator(self) -> Evaluator:
+        with self._lock:
+            if self._eval_pool:
+                evaluator = self._eval_pool.pop()
+                # The step budget is per request: count it from this
+                # request's first step, not the evaluator's.
+                if evaluator.step_limit:
+                    evaluator.limit = evaluator.steps + evaluator.step_limit
+                return evaluator
         return self.evaluator()
 
     def _release_evaluator(self, evaluator: Evaluator) -> None:
@@ -230,12 +243,16 @@ class CompiledProgram:
                 self._eval_pool.append(evaluator)
 
     def eval_compiled(self, compiled: "CompiledExpr", deep: bool = True,
-                      reuse: bool = False, **overrides: Any) -> Any:
+                      reuse: bool = False, *,
+                      call_by_need: Optional[bool] = None,
+                      step_limit: Optional[int] = None,
+                      max_depth: Optional[int] = None) -> Any:
         """Evaluate a :class:`CompiledExpr` produced by
         :meth:`compile_expr`.
 
-        With ``reuse=True`` (and no evaluator overrides) the evaluation
-        runs on a pooled warm evaluator: constructing an evaluator
+        With ``reuse=True`` (and none of ``call_by_need``,
+        ``step_limit`` and ``max_depth`` given) the evaluation runs on
+        a pooled warm evaluator: constructing an evaluator
         costs more than running a small expression, and under
         call-by-need the memoised top-level thunks are deterministic
         values, so sharing them across requests is observationally
@@ -244,17 +261,13 @@ class CompiledProgram:
         evaluation (step/depth budget) must not leak into the next
         request.  ``last_stats`` always reports this evaluation alone.
         """
-        reuse = reuse and not overrides
-        evaluator = self._acquire_evaluator(reuse)
+        reuse = reuse and (call_by_need, step_limit, max_depth) \
+            == (None, None, None)
+        evaluator = self._acquire_evaluator() if reuse else \
+            self.evaluator(call_by_need=call_by_need, step_limit=step_limit,
+                           max_depth=max_depth)
         for binding in compiled.core_extra:
             evaluator.define(binding.name, binding.expr)
-        if overrides:
-            evaluator.call_by_need = overrides.get(
-                "call_by_need", self.options.call_by_need)
-            evaluator.step_limit = overrides.get(
-                "step_limit", self.options.eval_step_limit)
-            evaluator.max_depth = overrides.get(
-                "max_depth", self.options.eval_depth_limit)
         before = evaluator.stats.snapshot() if reuse else None
 
         def go() -> Any:

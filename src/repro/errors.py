@@ -217,11 +217,11 @@ class ModuleCycleError(ModuleError):
 
 
 class StaleInterfaceError(ModuleError):
-    """A ``.ri`` interface file on disk has the wrong magic, an older
-    format version, or an unreadable payload.  Callers that can rebuild
-    the module treat the file as absent instead
-    (``load_interface(..., stale_ok=True)``); this error surfaces only
-    when a fresh interface cannot be produced."""
+    """A ``.ri`` interface file on disk cannot be read, or has the
+    wrong magic, another format version, or an unreadable payload
+    (:func:`repro.modules.interface.load_interface`).  A build never
+    unpickles one: it compares the file's bytes with the interface it
+    compiled and overwrites a file that differs."""
 
     code = "module.interface.stale"
 

@@ -12,9 +12,9 @@ compilation of a multi-module program into:
   interfaces alone, never their sources;
 * :mod:`repro.modules.build` — per-module compilation on a prelude
   snapshot fork, content-addressed caching keyed on (source, options,
-  dep-interface fingerprints), topological-order builds (a scheduler
-  over worker processes for distributed ones), and the link step that
-  merges instance environments with a coherence check.
+  dep-interface fingerprints), topological-order builds on the calling
+  thread, and the link step that merges instance environments with a
+  coherence check.
 """
 
 from repro.modules.build import (

@@ -1,4 +1,4 @@
-"""Separate compilation, caching, scheduling and linking.
+"""Separate compilation, caching and linking.
 
 The heart of the module subsystem.  Each module compiles as an
 independent :class:`~repro.pipeline.PassManager` run on a fork of the
@@ -28,10 +28,7 @@ sources.
 from __future__ import annotations
 
 import hashlib
-import queue
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -60,9 +57,8 @@ from repro.service.snapshot import PreludeSnapshot, get_default_snapshot
 
 _GENERATED_MARK = "$"
 
-#: *jobs* of a build that passes none: distributed compiles in flight
-#: (at least one per worker); a local build compiles on the calling
-#: thread and only echoes it
+#: *jobs* echoed by a build that passes none; a build compiles on the
+#: calling thread whatever its *jobs*
 DEFAULT_JOBS = 4
 
 
@@ -514,7 +510,7 @@ def link_modules(artifacts: Sequence[ModuleArtifact],
 
 
 # ---------------------------------------------------------------------------
-# The builder: cache + scheduler + link
+# The builder: cache + link
 # ---------------------------------------------------------------------------
 
 
@@ -531,8 +527,8 @@ class BuildResult:
     #: compile-cache counters at the end of the build
     cache: Dict[str, Any]
     seconds: float
-    #: the build's *jobs*: distributed compiles in flight (a local
-    #: build compiles on the calling thread and only echoes it)
+    #: the *jobs* the build was given, echoed: it sets nothing, since
+    #: every build compiles on the calling thread
     jobs: int
 
     @property
@@ -603,10 +599,9 @@ class CheckResult:
 
 
 class ModuleBuilder:
-    """Builds module graphs: compiles modules in topological order (on
-    worker processes, DAG-independent ones at once, for a distributed
-    build), consults the content-addressed artifact cache, writes
-    interface files, links.
+    """Builds module graphs: looks up or compiles each module on the
+    calling thread, in topological order, through the
+    content-addressed artifact cache, writes interface files, links.
 
     Thread safe per build; a builder may be reused across builds and
     its cache then provides incrementality — after an edit, only the
@@ -634,81 +629,71 @@ class ModuleBuilder:
     # ------------------------------------------------------------- building
 
     def build(self, graph: ModuleGraph, jobs: Optional[int] = None,
-              out_dir: Optional[str] = None, link: bool = True,
-              pool: Optional[Any] = None) -> BuildResult:
+              out_dir: Optional[str] = None,
+              link: bool = True) -> BuildResult:
         """Compile every module in *graph* (cache permitting), then
         link.  *out_dir* receives ``.ri`` interface files as modules
         finish.
 
-        A local build looks up and compiles every module on the calling
-        thread, in topological order; the first failure is raised.
-        Under the GIL a thread pool only adds contention (docs/MODULES.md
-        gives the measurement).  *jobs* is still accepted and echoed in
-        :attr:`BuildResult.jobs`.
-
-        With *pool* (a :class:`repro.service.worker.WorkerPool`) the
-        build is **distributed**: an indegree scheduler keeps *jobs*
-        (at least one per worker) cache-miss compiles in flight, each
-        submitted to a worker process as a ``compile_module`` request.
-        Cache consults, ``.ri`` writes and the link stay in this
-        process, so the observable outputs — interface bytes, linked
-        program, coherence errors — are identical to a local build
-        (workers fork from this process and inherit its snapshot and
-        hash seed; a test pins the byte equality).
+        Every module is looked up and compiled on the calling thread,
+        in topological order; the first failure is raised.  *jobs* is
+        accepted and echoed in :attr:`BuildResult.jobs`, and sets
+        nothing else (docs/MODULES.md gives the measurements behind
+        one thread).
         """
         t0 = time.perf_counter()
         if jobs is None:
             jobs = DEFAULT_JOBS
         jobs = max(1, int(jobs))
-        if pool is not None:
-            # One submitter thread per shard keeps every worker busy;
-            # fewer would idle shards, the scheduler threads only block.
-            jobs = max(jobs, len(pool))
         interfaces: Dict[str, ModuleInterface] = {}
-        artifacts: Dict[str, ModuleArtifact] = {}
+        artifacts: List[ModuleArtifact] = []
         stats: Dict[str, Dict[str, Any]] = {}
-
-        def build_one(name: str) -> None:
-            msrc = graph.modules[name]
-            closure = graph.closure(name)
-            key = self._key(msrc, closure, interfaces)
-            t = time.perf_counter()
-            art = self.cache.get(key)
-            cached = art is not None
-            if not cached:
-                art = self._compile_one(msrc, [interfaces[dep]
-                                               for dep in closure], pool)
-                self.cache.put(key, art)
-            interfaces[name] = art.interface
-            artifacts[name] = art
-            info: Dict[str, Any] = {
-                "cached": cached,
-                "ms": round((time.perf_counter() - t) * 1e3, 3),
-                "fingerprint": art.interface.fingerprint,
-                "source_sha": art.interface.source_sha,
-                "unfold_fp": art.interface.unfold_fp,
-            }
-            if not cached:
+        for name in graph.order:
+            art, info = self._build_module(graph.modules[name],
+                                           graph.closure(name),
+                                           interfaces, out_dir)
+            if not info["cached"]:
                 info["phases"] = art.phases
+            artifacts.append(art)
             stats[name] = info
-            if out_dir:
-                self._write_interface(out_dir, name, art.interface)
-
-        if pool is None or jobs == 1 or len(graph.order) <= 1:
-            for name in graph.order:
-                build_one(name)
-        else:
-            self._build_parallel(graph, jobs, build_one)
 
         program = None
         if link:
-            program = link_modules([artifacts[name]
-                                    for name in graph.order],
-                                   self.options, self.snapshot)
+            program = link_modules(artifacts, self.options, self.snapshot)
         return BuildResult(program=program, graph=graph, modules=stats,
                            order=list(graph.order),
                            cache=self.cache.snapshot(),
                            seconds=time.perf_counter() - t0, jobs=jobs)
+
+    def _build_module(self, msrc: ModuleSource, closure: Sequence[str],
+                      interfaces: Dict[str, ModuleInterface],
+                      out_dir: Optional[str]
+                      ) -> Tuple[ModuleArtifact, Dict[str, Any]]:
+        """One module of a build or a check: its artifact from the
+        cache, or compiled against the *interfaces* of its import
+        *closure* on a miss (a compile error propagates), and its
+        stats ``{cached, ms, fingerprint, source_sha, unfold_fp}``.
+        Records the interface in *interfaces* and writes its ``.ri``
+        file to *out_dir*."""
+        key = self._key(msrc, closure, interfaces)
+        t = time.perf_counter()
+        art = self.cache.get(key)
+        cached = art is not None
+        if not cached:
+            art = compile_module(msrc, [interfaces[dep] for dep in closure],
+                                 self.options, self.snapshot)
+            self.cache.put(key, art)
+        interfaces[msrc.name] = art.interface
+        info: Dict[str, Any] = {
+            "cached": cached,
+            "ms": _ms_since(t),
+            "fingerprint": art.interface.fingerprint,
+            "source_sha": art.interface.source_sha,
+            "unfold_fp": art.interface.unfold_fp,
+        }
+        if out_dir:
+            self._write_interface(out_dir, msrc.name, art.interface)
+        return art, info
 
     @staticmethod
     def _write_interface(out_dir: str, name: str,
@@ -762,37 +747,19 @@ class ModuleBuilder:
                 stats[name] = {"status": "skipped",
                                "blocked_on": blocked_on}
                 continue
-            msrc = graph.modules[name]
-            key = self._key(msrc, closure, interfaces)
             t = time.perf_counter()
-            art = self.cache.get(key)
-            cached = art is not None
-            if not cached:
-                try:
-                    art = compile_module(
-                        msrc, [interfaces[dep] for dep in closure],
-                        self.options, self.snapshot)
-                except ReproError as exc:
-                    broken.add(name)
-                    diagnostics.append((name, exc))
-                    stats[name] = {
-                        "status": "error",
-                        "code": exc.code,
-                        "ms": round((time.perf_counter() - t) * 1e3, 3),
-                    }
-                    continue
-                self.cache.put(key, art)
-            interfaces[name] = art.interface
-            stats[name] = {
-                "status": "cached" if cached else "checked",
-                "cached": cached,
-                "ms": round((time.perf_counter() - t) * 1e3, 3),
-                "fingerprint": art.interface.fingerprint,
-                "source_sha": art.interface.source_sha,
-                "unfold_fp": art.interface.unfold_fp,
-            }
-            if out_dir:
-                self._write_interface(out_dir, name, art.interface)
+            try:
+                _art, info = self._build_module(graph.modules[name],
+                                                closure, interfaces,
+                                                out_dir)
+            except ReproError as exc:
+                broken.add(name)
+                diagnostics.append((name, exc))
+                stats[name] = {"status": "error", "code": exc.code,
+                               "ms": _ms_since(t)}
+                continue
+            stats[name] = {"status": "cached" if info["cached"]
+                           else "checked", **info}
 
         return CheckResult(graph=graph, modules=stats,
                            order=list(graph.order),
@@ -807,95 +774,23 @@ class ModuleBuilder:
             msrc.source, self._options_fp, self.snapshot.fingerprint,
             [(dep, interfaces[dep].fingerprint) for dep in closure])
 
-    #: ceiling on one distributed module compile (it covers a worker
-    #: respawn after a crash; local compiles are unbounded as before)
-    _DISTRIBUTED_COMPILE_TIMEOUT = 600.0
 
-    def _compile_one(self, msrc: ModuleSource,
-                     dep_interfaces: List[ModuleInterface],
-                     pool: Optional[Any]) -> ModuleArtifact:
-        """One module compile, local or on a pool worker.  The
-        ``compile_module`` op carries the live :class:`ModuleSource`
-        and dependency interfaces over the worker pipe and returns the
-        artifact object; a structured worker error (compile error,
-        worker crash) is re-raised here as a :class:`ModuleError`."""
-        if pool is None:
-            return compile_module(msrc, dep_interfaces, self.options,
-                                  self.snapshot)
-        future = pool.submit_any({"op": "compile_module", "module": msrc,
-                                  "interfaces": list(dep_interfaces)})
-        response = future.result(timeout=self._DISTRIBUTED_COMPILE_TIMEOUT)
-        if not response.get("ok"):
-            error = response.get("error") or {}
-            raise ModuleError(
-                f"distributed compile of module '{msrc.name}' failed "
-                f"[{error.get('code', 'error')}]: "
-                f"{error.get('message', 'unknown error')}")
-        return response["result"]["artifact"]
-
-    @staticmethod
-    def _build_parallel(graph: ModuleGraph, jobs: int, build_one) -> None:
-        """Indegree scheduling over the import DAG for a distributed
-        build: a module is submitted the moment its last import
-        finishes, and up to *jobs* threads wait on worker pipes at
-        once.  The first failure stops new submissions, lets in-flight
-        work drain, and is re-raised."""
-        indegree = {name: len(graph.deps[name]) for name in graph.order}
-        done: "queue.Queue[Tuple[str, Optional[BaseException]]]" = \
-            queue.Queue()
-        failure: List[BaseException] = []
-        lock = threading.Lock()
-
-        def run(name: str) -> None:
-            try:
-                build_one(name)
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                done.put((name, exc))
-            else:
-                done.put((name, None))
-
-        with ThreadPoolExecutor(max_workers=jobs,
-                                thread_name_prefix="repro-build") as pool:
-            in_flight = 0
-            for name in graph.order:
-                if indegree[name] == 0:
-                    pool.submit(run, name)
-                    in_flight += 1
-            while in_flight:
-                name, exc = done.get()
-                in_flight -= 1
-                if exc is not None:
-                    with lock:
-                        failure.append(exc)
-                    continue
-                if failure:
-                    continue  # drain only; no new submissions
-                for dependent in graph.dependents[name]:
-                    indegree[dependent] -= 1
-                    if indegree[dependent] == 0:
-                        pool.submit(run, dependent)
-                        in_flight += 1
-        if failure:
-            raise failure[0]
+def _ms_since(t: float) -> float:
+    return round((time.perf_counter() - t) * 1e3, 3)
 
 
 def build_modules(paths: Sequence[str],
                   options: Optional[CompilerOptions] = None,
-                  jobs: Optional[int] = None,
                   out_dir: Optional[str] = None,
                   snapshot: Optional[PreludeSnapshot] = None,
                   cache: Optional[CompileCache] = None,
-                  link: bool = True,
-                  pool: Optional[Any] = None) -> BuildResult:
+                  link: bool = True) -> BuildResult:
     """Discover, build and link the modules under *paths* — the one
     call behind ``repro build``.  Raises :class:`ReproError` subclasses
-    for every user-facing failure (resolution, compilation, linking).
-    *pool* switches per-module compiles to worker processes (see
-    :meth:`ModuleBuilder.build`)."""
+    for every user-facing failure (resolution, compilation, linking)."""
     graph = discover_modules(paths)
     builder = ModuleBuilder(options=options, snapshot=snapshot, cache=cache)
-    return builder.build(graph, jobs=jobs, out_dir=out_dir, link=link,
-                         pool=pool)
+    return builder.build(graph, out_dir=out_dir, link=link)
 
 
 def check_modules(paths: Sequence[str],

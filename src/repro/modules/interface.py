@@ -22,9 +22,7 @@ core bodies of its specialisable bindings
 specializer can clone imported overloaded functions.  Unfoldings stay
 out of the surface fingerprint (body edits must not trigger dependent
 recompiles); they carry their own digest, ``unfold_fp``, which the
-link-level caches key on.  Older ``.ri`` files on disk are handled by
-:func:`load_interface`'s ``stale_ok`` mode: treated as absent, never a
-pickle or shape error, so a build simply regenerates them.
+link-level caches key on.
 
 On disk an interface is a magic string, a format-version byte and a
 pickle written by the C pickler with its memo off (``fast`` mode): every
@@ -43,13 +41,13 @@ import os
 import pickle
 import tempfile
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.classes import ClassInfo, InstanceInfo
 from repro.core.kinds import kind_str
 from repro.core.static import DataConInfo, DataTypeInfo
 from repro.core.types import Scheme
-from repro.errors import ModuleError, StaleInterfaceError
+from repro.errors import StaleInterfaceError
 from repro.lang import ast
 from repro.service.cache import FORMAT_VERSION
 
@@ -108,7 +106,7 @@ class ModuleInterface:
 
     def __getstate__(self) -> Dict[str, Any]:
         # The memo of interface_bytes stays out of every pickle: the
-        # .ri file itself, the compile cache's disk tier, worker pipes.
+        # .ri file itself and the compile cache's disk tier.
         state = dict(self.__dict__)
         state.pop("_ri_bytes", None)
         return state
@@ -185,10 +183,11 @@ def _canonical_dumps(obj: Any) -> bytes:
 
     The default pickler emits back-references for objects it has seen,
     making the bytes depend on which sub-objects happen to be shared in
-    memory — and sharing differs between a local compile (schemes built
-    against live canonical env objects) and a distributed one (dep
-    interfaces unpickled from a worker pipe are copies).  Distributed
-    builds promise byte-identical ``.ri`` files, so the on-disk format
+    memory — and sharing differs between a module compiled against
+    the interfaces of a fresh build (schemes built against live
+    canonical env objects) and one compiled against interfaces loaded
+    from the compile cache's disk tier (unpickled copies).  A rebuild
+    writes the same ``.ri`` bytes either way, so the on-disk format
     must not see the difference.  ``fast`` mode turns the C pickler's
     memo off: every occurrence of a sub-object serializes by value.
     Interfaces are acyclic trees; the cost of dropping the memo is a
@@ -232,41 +231,31 @@ def save_interface(iface: ModuleInterface, path: str) -> None:
         raise
 
 
-def load_interface(path: str,
-                   stale_ok: bool = False) -> Optional[ModuleInterface]:
-    """Read an interface file, checking magic and version.
-
-    With ``stale_ok`` (the builder's mode — it can always recompile),
-    anything unusable — wrong magic, an older or newer format version,
-    a truncated or unpicklable payload — returns None so the caller
-    treats the file as absent and regenerates it.  Without it, the
-    same conditions raise :class:`~repro.errors.StaleInterfaceError`
-    (a :class:`~repro.errors.ModuleError`)."""
-
-    def unusable(message: str) -> Optional[ModuleInterface]:
-        if stale_ok:
-            return None
-        raise StaleInterfaceError(message)
-
+def load_interface(path: str) -> ModuleInterface:
+    """Read an interface file, checking magic and version.  Anything
+    unusable — an unreadable file, wrong magic, an older or newer
+    format version, a truncated or unpicklable payload — raises
+    :class:`~repro.errors.StaleInterfaceError` (a
+    :class:`~repro.errors.ModuleError`)."""
     try:
         with open(path, "rb") as handle:
             blob = handle.read()
     except OSError as exc:
-        if stale_ok:
-            return None
         raise StaleInterfaceError(f"cannot read '{path}': {exc}")
     if not blob.startswith(_MAGIC) or len(blob) <= len(_MAGIC):
-        return unusable(f"'{path}' is not an interface file")
+        raise StaleInterfaceError(f"'{path}' is not an interface file")
     version = blob[len(_MAGIC)]
     if version != INTERFACE_VERSION:
-        return unusable(
+        raise StaleInterfaceError(
             f"interface file '{path}' has version {version}, expected "
             f"{INTERFACE_VERSION}; rebuild it")
     try:
         iface = pickle.loads(blob[len(_MAGIC) + 1:])
     except Exception as exc:  # noqa: BLE001 — any pickle failure is staleness
-        return unusable(f"interface file '{path}' is unreadable "
-                        f"({type(exc).__name__}: {exc}); rebuild it")
+        raise StaleInterfaceError(
+            f"interface file '{path}' is unreadable "
+            f"({type(exc).__name__}: {exc}); rebuild it")
     if not isinstance(iface, ModuleInterface):
-        return unusable(f"'{path}' does not contain a module interface")
+        raise StaleInterfaceError(
+            f"'{path}' does not contain a module interface")
     return iface

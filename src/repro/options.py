@@ -25,8 +25,8 @@ The resource limits and the service settings that follow them are
 here because some caller sets them.  A service setting that no caller
 varies is a constant of the module that reads it (the server's queue
 depth and expression-memo size, the drain grace, the timeout ceiling,
-the distributed build's jobs and the provenance minimization cap; see
-docs/SERVICE.md, "Fixed values").
+the ``jobs`` a module build echoes and the provenance minimization
+cap; see docs/SERVICE.md, "Fixed values").
 """
 
 from __future__ import annotations

@@ -12,8 +12,8 @@ compiler into a system that can serve sustained traffic.
   ceilings, memo stage, admission, execute) over either backend;
 * :mod:`repro.service.worker` — the two backends behind one
   interface: the in-process :class:`LocalPool` and the worker-process
-  :class:`WorkerPool` (also behind distributed module builds) with
-  content-hash routing, crash detection, respawn and resubmission;
+  :class:`WorkerPool` with content-hash routing, crash detection,
+  respawn and resubmission;
 * :mod:`repro.service.metrics` — counters, gauges and latency
   histograms, with count-weighted cross-process merging behind the
   server's ``stats`` request.

@@ -410,33 +410,42 @@ class CompileService:
             result["kinds"] = program.kinds_listing()
         return result
 
-    def _op_build(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Build a multi-module program from inline sources: resolve
-        the import DAG, compile each module separately (through the
-        shared artifact cache, so repeated builds are incremental),
-        link, and cache the linked program under a content key the
-        client can hand to ``eval``/``typeof``/``info``."""
-        from repro.modules.build import ModuleBuilder, module_cache_key
+    def _module_graph(self, request: Dict[str, Any],
+                      op: str) -> Tuple[Any, Any]:
+        """The import DAG of a ``build`` or ``check`` request's inline
+        ``modules``, and a builder over this service's artifact cache;
+        *op* names the request in a malformed request's error."""
+        from repro.modules.build import ModuleBuilder
         from repro.modules.resolve import scan_inline_modules
         modules = request.get("modules")
         if not isinstance(modules, list) or not modules:
-            raise ProtocolError("'build' needs a non-empty 'modules' list")
+            raise ProtocolError(f"'{op}' needs a non-empty 'modules' list")
         for spec in modules:
             if not isinstance(spec, dict) or \
                     not isinstance(spec.get("source"), str):
                 raise ProtocolError(
                     "each 'modules' entry needs a 'source' string "
                     "(plus optional 'name'/'filename')")
+        graph = scan_inline_modules(
+            modules, max_depth=self.options.max_parse_depth)
+        return graph, ModuleBuilder(self.options, self.snapshot,
+                                    cache=self.cache)
+
+    def _op_build(self, request: Dict[str, Any]) -> Dict[str, Any]:
+        """Build a multi-module program from inline sources: resolve
+        the import DAG, compile each module separately (through the
+        shared artifact cache, so repeated builds are incremental),
+        link, and cache the linked program under a content key the
+        client can hand to ``eval``/``typeof``/``info``.  ``jobs`` is
+        validated and echoed in the reply; it sets nothing else."""
+        from repro.modules.build import module_cache_key
         jobs = request.get("jobs")
         if jobs is not None:
             try:
                 jobs = int(jobs)
             except (TypeError, ValueError):
                 raise ProtocolError("'jobs' must be an integer")
-        graph = scan_inline_modules(
-            modules, max_depth=self.options.max_parse_depth)
-        builder = ModuleBuilder(self.options, self.snapshot,
-                                cache=self.cache)
+        graph, builder = self._module_graph(request, "build")
         build = builder.build(graph, jobs=jobs)
         program = build.program
         # Address the *linked* program by the build's content.  The
@@ -486,21 +495,7 @@ class CompileService:
         the multi-position ``positions`` list — plus the module name),
         so a client sees every independent error in one round trip.
         """
-        from repro.modules.build import ModuleBuilder
-        from repro.modules.resolve import scan_inline_modules
-        modules = request.get("modules")
-        if not isinstance(modules, list) or not modules:
-            raise ProtocolError("'check' needs a non-empty 'modules' list")
-        for spec in modules:
-            if not isinstance(spec, dict) or \
-                    not isinstance(spec.get("source"), str):
-                raise ProtocolError(
-                    "each 'modules' entry needs a 'source' string "
-                    "(plus optional 'name'/'filename')")
-        graph = scan_inline_modules(
-            modules, max_depth=self.options.max_parse_depth)
-        builder = ModuleBuilder(self.options, self.snapshot,
-                                cache=self.cache)
+        graph, builder = self._module_graph(request, "check")
         checked = builder.check(graph)
         diagnostics = [dict(_repro_error_envelope(exc), module=name)
                        for name, exc in checked.diagnostics]
@@ -512,23 +507,6 @@ class CompileService:
         return {"ok": checked.ok,
                 "check": checked.stats(),
                 "diagnostics": diagnostics}
-
-    def _op_compile_module(self, request: Dict[str, Any]) -> Dict[str, Any]:
-        """Compile one module against its imports' interfaces — the
-        distributed-build op (:mod:`repro.modules.build` with a worker
-        pool).  It carries live :class:`ModuleSource` /
-        :class:`ModuleInterface` objects, so it is served only over the
-        worker-pool pipe transport, never parsed from JSON."""
-        from repro.modules.build import compile_module as compile_one
-        from repro.modules.resolve import ModuleSource
-        msrc = request.get("module")
-        interfaces = request.get("interfaces") or []
-        if not isinstance(msrc, ModuleSource):
-            raise ProtocolError(
-                "'compile_module' carries live module objects and is only "
-                "available over the worker-pool transport")
-        artifact = compile_one(msrc, interfaces, self.options, self.snapshot)
-        return {"module": msrc.name, "artifact": artifact}
 
     def stats(self) -> Dict[str, Any]:
         return {

@@ -31,9 +31,11 @@ Workers are started with the ``fork`` start method where available:
 the parent builds the prelude snapshot *once* before forking, so
 children inherit it by page sharing instead of each paying the
 ~100ms+ prelude compile — and, because ``fork`` also inherits the
-parent's hash seed, per-module compiles are bit-identical to the ones
-the parent would have produced locally (the distributed-build
-determinism test pins this).
+parent's hash seed, a worker compiles exactly what the parent would
+in process: the ``shards2`` ``build`` and ``check`` replies in
+``tests/golden/protocol.jsonl`` pin the in-process fingerprints,
+program key, schemes and diagnostics (only each shard's cache counters
+differ).
 """
 
 from __future__ import annotations
@@ -281,9 +283,8 @@ class WorkerPool:
 
     Routing: content-addressed requests go to ``shard_of(key)`` —
     stable, so repeated requests for one program always hit the worker
-    whose in-memory cache holds it; load-balanced work (distributed
-    module builds) uses :meth:`submit_any`, which picks the least
-    loaded shard.
+    whose in-memory cache holds it.  The server's router picks every
+    request's shard and passes it to :meth:`submit`.
     """
 
     def __init__(self, options: Optional[CompilerOptions] = None,
@@ -297,7 +298,7 @@ class WorkerPool:
             "fork" if "fork" in methods else None)
         # Build the snapshot in the parent *before* forking: children
         # inherit the compiled prelude (and the parent's hash seed,
-        # which makes their compiles bit-identical to local ones).
+        # which makes their compiles the in-process ones).
         from repro.service.snapshot import get_default_snapshot
         self.snapshot = get_default_snapshot(self.options)
         self.shards: List[_Shard] = [
@@ -316,16 +317,8 @@ class WorkerPool:
         except ValueError:
             return hash(key) % len(self.shards)
 
-    def submit(self, request: Dict[str, Any],
-               shard: Optional[int] = None) -> "Future":
-        if shard is None:
-            shard = min(range(len(self.shards)),
-                        key=lambda i: self.shards[i].outstanding())
+    def submit(self, request: Dict[str, Any], shard: int) -> "Future":
         return self.shards[shard].submit(request)
-
-    def submit_any(self, request: Dict[str, Any]) -> "Future":
-        """Least-loaded submission, for work without a content home."""
-        return self.submit(request, shard=None)
 
     def outstanding(self, shard: int) -> int:
         return self.shards[shard].outstanding()

@@ -194,6 +194,16 @@ class TestBuild:
         assert captured.out.strip() == "42"
         assert "backend=py" in captured.err
 
+    @pytest.mark.parametrize("flag", ["--distributed", "-j"])
+    def test_removed_build_flags_are_usage_errors(self, module_file, flag,
+                                                  capsys):
+        # Every build compiles on the calling thread: there are no
+        # worker processes or compiles in flight to ask for.
+        with pytest.raises(SystemExit) as exc:
+            main(["build", module_file, flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
 
 class TestOptions:
     def test_set_boolean(self, program_file, capsys):

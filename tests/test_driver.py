@@ -113,6 +113,23 @@ class TestCompiledProgram:
                            match=r"exceeded the step limit \(3000\)"):
             program.eval_compiled(big, reuse=True)
 
+    def test_unknown_evaluator_keywords_raise(self):
+        # The evaluator settings are call_by_need, step_limit and
+        # max_depth; any other keyword is an error, never ignored.
+        program = compile_source("main = 1",
+                                 CompilerOptions(eval_step_limit=5000))
+        small = program.compile_expr("sum (enumFromTo 1 (10 :: Int))")
+        with pytest.raises(TypeError):
+            program.run("main", big_stack=True)
+        with pytest.raises(TypeError):
+            program.run("main", no_such_override=3)
+        with pytest.raises(TypeError):
+            program.eval_compiled(small, reuse=True, big_stack=False)
+        with pytest.raises(TypeError):
+            program.eval("main", big_stack=True)
+        with pytest.raises(TypeError):
+            program.evaluator(big_stack=True)
+
     @pytest.mark.parametrize("snapshot", [False, True])
     def test_program_pickles_after_it_has_run(self, snapshot):
         # The compile cache pickles whole programs; staged code and warm

@@ -11,7 +11,7 @@ import traceback
 
 import pytest
 
-from repro import CompilerOptions, ReproError, compile_source
+from repro import CompilerOptions, compile_source
 from repro.errors import ResourceLimitError
 from repro.service.server import CompileService
 from repro.service.snapshot import PreludeSnapshot

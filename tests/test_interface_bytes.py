@@ -1,11 +1,14 @@
 """.ri byte pin: the serialized interfaces of examples/modtree.
 
-The interface files are a published format: distributed builds promise
-bytes identical to local ones, and build tools downstream see their
-mtimes and contents.  This test pins the SHA-256 of every ``.ri`` file
-an inline-module build of ``examples/modtree`` writes, so a change to
-the serializer (or to anything it serializes) that moves a single byte
-fails here first.
+The interface files are a published format: build tools downstream
+see their mtimes and contents, so a module writes the same bytes
+whether it was compiled against its imports' interfaces from a fresh
+build or against copies unpickled from the compile cache's disk tier.
+This test pins the SHA-256 of every ``.ri`` file an inline-module
+build of ``examples/modtree`` writes, so a change to the serializer
+(or to anything it serializes) that moves a single byte fails here
+first, and checks that two builds, and a rebuild over the disk cache,
+write the same bytes.
 
 The modules are built from in-memory sources named ``<Name>``: a build
 from files embeds each file's absolute path in the source positions it
@@ -28,7 +31,7 @@ import pathlib
 
 import pytest
 
-from repro.modules.build import ModuleBuilder
+from repro.modules.build import ModuleBuilder, build_modules
 from repro.modules.resolve import scan_inline_modules
 from repro.options import OPTIMIZED, CompilerOptions
 from repro.service.cache import CompileCache
@@ -128,3 +131,54 @@ def test_interface_fingerprints_are_pinned(options):
     fingerprints = {name: info["fingerprint"]
                     for name, info in result.modules.items()}
     assert fingerprints == RI_FINGERPRINT
+
+
+def _build(out_dir):
+    # A fresh memory-only cache per build: nothing carries over, so
+    # every module really compiles.
+    return build_modules([str(MODTREE)], CompilerOptions(),
+                         out_dir=str(out_dir),
+                         cache=CompileCache(capacity=64))
+
+
+def test_interface_bytes_are_content_deterministic(tmp_path):
+    # Two independent builds — separate caches, different
+    # object-graph sharing — still serialize identical interfaces.
+    a, b = tmp_path / "a", tmp_path / "b"
+    order = _build(a).order
+    _build(b)
+    for name in order:
+        with open(a / f"{name}.ri", "rb") as fa, \
+                open(b / f"{name}.ri", "rb") as fb:
+            assert fa.read() == fb.read(), name
+
+
+def test_recompile_against_disk_interfaces_writes_fresh_bytes(tmp_path):
+    # A body edit to Stats (the CI check-verb job's edit) recompiles it
+    # alone, against its imports' interfaces as unpickled from the disk
+    # cache, which share sub-objects differently from a fresh build's.
+    # The memo-free pickle (_canonical_dumps) keeps its bytes the same.
+    def builder(disk_dir=None):
+        return ModuleBuilder(CompilerOptions(), cache=CompileCache(
+            capacity=64, disk_dir=disk_dir))
+
+    disk = str(tmp_path / "cache")
+    builder(disk).build(scan_inline_modules(inline_specs()), link=False)
+    edited = [dict(spec, source=spec["source"]
+                   + "\nbodyEditPad :: Int\nbodyEditPad = 7\n")
+              if spec["name"] == "Stats" else spec
+              for spec in inline_specs()]
+    rebuilt_dir, fresh_dir = tmp_path / "rebuilt", tmp_path / "fresh"
+    rebuilt = builder(disk).build(scan_inline_modules(edited), link=False,
+                                  out_dir=str(rebuilt_dir))
+    assert [name for name, info in rebuilt.modules.items()
+            if not info["cached"]] == ["Stats"]
+    assert rebuilt.cache["disk_hits"] == len(RI_SHA256) - 1
+    builder().build(scan_inline_modules(edited), link=False,
+                    out_dir=str(fresh_dir))
+    fresh = {path.name: path.read_bytes()
+             for path in sorted(fresh_dir.glob("*.ri"))}
+    assert sorted(fresh) == sorted(path.name
+                                   for path in rebuilt_dir.glob("*.ri"))
+    for name, payload in fresh.items():
+        assert (rebuilt_dir / name).read_bytes() == payload, name

@@ -26,7 +26,6 @@ from repro.coreir.syntax import (
     capp,
 )
 from repro.errors import (
-    CoreLintError,
     LintAnnotationError,
     LintConArityError,
     LintDictShapeError,

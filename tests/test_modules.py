@@ -759,7 +759,7 @@ class TestExampleTree:
 class TestCLI:
     def test_build_command_runs_entry(self, capsys):
         from repro.cli import main
-        code = main(["build", MODTREE, "--run", "-j", "2"])
+        code = main(["build", MODTREE, "--run"])
         out = capsys.readouterr()
         assert code == 0
         assert EXPECTED_MODTREE in out.out

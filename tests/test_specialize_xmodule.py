@@ -13,7 +13,6 @@ fingerprint (the incremental-rebuild cut-off) never moves.
 from __future__ import annotations
 
 import os
-import pathlib
 
 import pytest
 
@@ -270,16 +269,17 @@ class TestStaleInterfaces:
         assert exc.value.code == "module.interface.stale"
         assert isinstance(exc.value, ModuleError)
 
-    def test_stale_ok_returns_none_never_raises(self, tmp_path):
+    def test_unusable_files_raise_typed_error(self, tmp_path):
         missing = str(tmp_path / "Nope.ri")
-        assert load_interface(missing, stale_ok=True) is None
         junk = str(tmp_path / "junk.ri")
         with open(junk, "wb") as handle:
             handle.write(b"not an interface at all")
-        assert load_interface(junk, stale_ok=True) is None
         skewed = self._save_lib(tmp_path)
         self._corrupt_version(skewed)
-        assert load_interface(skewed, stale_ok=True) is None
+        for path in (missing, junk, skewed):
+            with pytest.raises(StaleInterfaceError) as exc:
+                load_interface(path)
+            assert exc.value.code == "module.interface.stale"
 
     def _write_tree(self, tmp_path):
         src_dir = tmp_path / "src"
